@@ -637,12 +637,14 @@ def annihilator(g: Graph, d: ModuleDescriptor):
     raise InputError(f"not a module descriptor: {d!r}")
 
 
-def annihilator_generators(g: Graph, d: ModuleDescriptor, field=QQ) -> list:
-    """Generators of the annihilator, for bounded annihilation checks."""
-    ideal = annihilator(g, d)
-    if isinstance(ideal, GradedIdeal):
-        return ideal_generators(g, ideal.pair, field)
+def annihilator_generators(g: Graph, d: ModuleDescriptor, field=QQ, ideal=None) -> list:
+    """Generators of the annihilator, for bounded annihilation checks; pass
+    ``ideal`` when annihilator(g, d) is already at hand."""
+    if ideal is None:
+        ideal = annihilator(g, d)
     gens = ideal_generators(g, ideal.pair, field)
+    if isinstance(ideal, GradedIdeal):
+        return gens
     # f(c): substitute the cycle (based at the tail's basepoint) for x.
     base = ideal.cycle.rotate_to(d.tail.cycle.base)
     total = alg.zero(g, field)

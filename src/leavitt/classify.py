@@ -73,6 +73,29 @@ def base_vertices(g: Graph, H) -> list:
     return [v for v in sorted(comp) if root(g, [v]) == comp]
 
 
+def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
+    """Sort a base vertex v of the complement comp into its case: it emits
+    nothing into comp (3b), or lies on an exclusive cycle (3d), or else on
+    a cycle extreme in comp (3c).  A base vertex that fits none of them
+    contradicts the classification and raises InternalCheckError."""
+    if not any(g.tgt(ref) in comp for ref in g.out_refs(v, 2)):
+        return BaseVertex(v, "no_edges_out", None)
+    thru = [(c, classify_cycle(g, c, comp)) for c in cycles_through(g, v)]
+    if not thru:
+        raise InternalCheckError(
+            f"{v!r} emits into the complement but lies on no cycle"
+        )
+    for c, cl in thru:
+        if cl.exclusive:
+            return BaseVertex(v, "exclusive_cycle", c)
+    for c, cl in thru:
+        if cl.extreme_in_V:
+            return BaseVertex(v, "extreme_cycle", c)
+    raise InternalCheckError(
+        f"no cycle through base vertex {v!r} is exclusive or extreme"
+    )
+
+
 def find_base_vertex(g: Graph, H) -> Optional[BaseVertex]:
     """A vertex v with R(v) = complement of H, classified.
 
@@ -94,26 +117,7 @@ def find_base_vertex(g: Graph, H) -> Optional[BaseVertex]:
     candidates = base_vertices(g, H)
     if not candidates:
         return None
-    v = candidates[0]
-    out_into_comp = [
-        ref for ref in g.out_refs(v, 2) if g.tgt(ref) in comp
-    ]
-    if not out_into_comp:
-        return BaseVertex(v, "no_edges_out", None)
-    thru = cycles_through(g, v)
-    if not thru:
-        raise InternalCheckError(
-            f"{v!r} emits into the complement but lies on no cycle"
-        )
-    for c in thru:
-        if classify_cycle(g, c, comp).exclusive:
-            return BaseVertex(v, "exclusive_cycle", c)
-    for c in thru:
-        if classify_cycle(g, c, comp).extreme_in_V:
-            return BaseVertex(v, "extreme_cycle", c)
-    raise InternalCheckError(
-        f"no cycle through base vertex {v!r} is exclusive or extreme"
-    )
+    return classify_base_vertex(g, comp, candidates[0])
 
 
 @dataclass(frozen=True)

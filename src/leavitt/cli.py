@@ -11,25 +11,25 @@ import argparse
 import json
 import sys
 
-from . import algebra as alg
 from . import chen
 from . import classify as cls
 from . import ideals as idl
-from .branching import ModuleVector, Truncation, act, annihilation_check
+from .branching import ModuleVector, Truncation, act
 from .catalog import CATALOG
 from .errors import InputError, LeavittError, WindowOverflow
 from .fields import field_from_spec
 from .graphio import (
     GraphDocument,
     emit_graph,
+    parse_cycle,
     parse_element,
     parse_graph_document,
     parse_monomial,
-    parse_ref,
+    parse_steps,
     to_dot,
 )
-from .graphs import breaking_vertices, make_cycle, make_path, rational_tail, vertex_path
-from .verification import run_suites
+from .graphs import breaking_vertices, rational_tail
+from .verification import check_annihilator, run_suites
 
 
 def _load_document(path: str) -> GraphDocument:
@@ -62,23 +62,13 @@ def _resolve_pair(doc: GraphDocument, selector: str) -> idl.AdmissiblePair:
 def _resolve_cycle(doc: GraphDocument, token: str):
     if token in doc.cycles:
         return doc.cycles[token]
-    g = doc.graph
-    steps = [parse_ref(t, g) for t in token.split(",") if t]
-    if not steps:
-        raise InputError(f"bad cycle selector {token!r}")
-    return make_cycle(g, g.src(steps[0]), steps)
+    return parse_cycle(doc.graph, token)
 
 
 def _resolve_path(doc: GraphDocument, token: str):
     if token in doc.paths:
         return doc.paths[token]
-    g = doc.graph
-    if token.startswith("@"):
-        v = token[1:]
-        g.check_vertices([v])
-        return vertex_path(v)
-    steps = [parse_ref(t, g) for t in token.split(",") if t]
-    return make_path(g, g.src(steps[0]), steps)
+    return parse_steps(doc.graph, token)
 
 
 def _resolve_module(doc: GraphDocument, spec: str) -> chen.ModuleDescriptor:
@@ -307,19 +297,7 @@ def cmd_ann(args) -> int:
     exit_code = 0
     if args.verify:
         t = Truncation(args.window[0], args.window[1])
-        system = chen.build_module(doc.graph, descriptor)
-        gens = chen.annihilator_generators(doc.graph, descriptor, field)
-        check = annihilation_check(system, gens, t)
-        H = ideal.pair.H
-        window = list(system.enumerate(t))
-        missing = []
-        for u in sorted(doc.graph.vertices - H):
-            hit = any(
-                not act(system, alg.vertex(doc.graph, u, field), ModuleVector.unit(x, field), t).is_zero
-                for x in window
-            )
-            if not hit:
-                missing.append(u)
+        check, missing = check_annihilator(doc.graph, descriptor, ideal, t, field)
         ok = check.passed and not missing
         report["verify"] = {
             "checked": check.checked,

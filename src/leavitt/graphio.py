@@ -13,8 +13,10 @@ copies (``v'``) can never collide with user ids:
     path at_v @v          # trivial path needs an explicit vertex
     pair P {w} {v}        # named admissible pair
 
-A JSON document with the same fields is accepted wherever a graph file is
-expected (detected by a leading ``{``).
+A JSON document (detected by a leading ``{``) is accepted wherever a graph
+file is expected; each entry is read as the text declaration it stands for,
+under the same rules: ``{"vertices": ["v"], "edges": {"c": ["v", "v"]},
+"cycles": {"loop": ["c"]}, "pairs": {"P": [[], []]}}``.
 
 Expressions over the algebra use juxtaposition for products, ``*`` as a
 postfix star, integer or a/b scalars, and ``+``/``-``:  ``v - c c*``,
@@ -34,7 +36,7 @@ from .fields import QQ
 from .graphs import Graph, make_cycle, make_path, vertex_path
 from .ideals import QuotientGraph, admissible_pair
 
-_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 @dataclass
@@ -47,88 +49,139 @@ class GraphDocument:
     pairs: dict = dc_field(default_factory=dict)
 
 
-def _fail(lineno: int, message: str):
-    raise InputError(f"line {lineno}: {message}")
-
-
-def _check_id(lineno: int, name: str) -> str:
-    if not _ID.match(name):
-        _fail(lineno, f"bad identifier {name!r} (letters, digits, underscore)")
+def _check_id(name: str) -> str:
+    if not _ID.fullmatch(name):
+        raise InputError(f"bad identifier {name!r} (letters, digits, underscore)")
     return name
 
 
 def parse_ref(token: str, g: Optional[Graph] = None):
     """An edge ref token: ``e`` or ``b[3]``."""
-    m = re.match(r"^([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]$", token)
+    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", token)
     ref = (m.group(1), int(m.group(2))) if m else token
     if g is not None and not g.has_ref(ref):
         raise InputError(f"unknown edge ref {token!r}")
     return ref
 
 
-def _parse_steps(g: Graph, text: str, lineno: int):
+def parse_steps(g: Graph, text: str):
+    """A path from a step list: comma-separated edge refs, or ``@v`` for the
+    trivial path at v."""
     if text.startswith("@"):
         v = text[1:]
         if v not in g.vertices:
-            _fail(lineno, f"unknown vertex {v!r}")
+            raise InputError(f"unknown vertex {v!r}")
         return vertex_path(v)
     steps = [parse_ref(tok, g) for tok in text.split(",") if tok]
     if not steps:
-        _fail(lineno, "empty step list (use @vertex for a trivial path)")
-    start = g.src(steps[0])
-    return make_path(g, start, steps)
+        raise InputError("empty step list (use @vertex for a trivial path)")
+    return make_path(g, g.src(steps[0]), steps)
 
 
-def _parse_vertex_set(g: Graph, token: str, lineno: int) -> frozenset:
+def parse_cycle(g: Graph, text: str):
+    """A cycle from a step list of edge refs."""
+    p = parse_steps(g, text)
+    return make_cycle(g, p.start, p.steps)
+
+
+def _parse_vertex_set(g: Graph, token: str) -> frozenset:
     if not (token.startswith("{") and token.endswith("}")):
-        _fail(lineno, f"expected a brace-delimited vertex set, got {token!r}")
-    inner = token[1:-1]
-    names = [t for t in inner.split(",") if t]
+        raise InputError(f"expected a brace-delimited vertex set, got {token!r}")
+    names = [t for t in token[1:-1].split(",") if t]
     for n in names:
         if n not in g.vertices:
-            _fail(lineno, f"unknown vertex {n!r}")
+            raise InputError(f"unknown vertex {n!r}")
     return frozenset(names)
 
 
+def _text_declarations(text: str):
+    """(location, kind, args) for each non-comment line of the text format."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            kind, *args = line.split()
+            yield f"line {lineno}", kind, args
+
+
+_JSON_KINDS = {"vertices": "vertex", "edges": "edge", "bundles": "bundle",
+               "cycles": "cycle", "paths": "path", "pairs": "pair"}
+# What one token of the text format can hold between its separators.
+_BARE = re.compile(r"[^\s,{}#]+")
+
+
+def _json_names(value, where: str) -> list:
+    if isinstance(value, list) and all(isinstance(x, str) and _BARE.fullmatch(x) for x in value):
+        return value
+    raise InputError(f"{where}: expected a list of bare names, got {value!r}")
+
+
+def _json_declarations(text: str) -> list:
+    """The JSON document restated as text-format declarations (an entry of
+    "edges" is an ``edge`` line, and so on), so both formats obey one set
+    of rules."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad JSON graph document: {exc}") from exc
+    decls = []
+    for key, section in data.items():
+        if key == "vertices":  # a list of ids: table entries with no fields
+            section = [(v, []) for v in _json_names(section, key)]
+        elif key in _JSON_KINDS and isinstance(section, dict):
+            section = section.items()
+        else:
+            raise InputError(f"bad JSON graph document section {key!r}")
+        for name, value in section:
+            where = f"{key} {name!r}"
+            if key == "pairs" and isinstance(value, list):
+                args = ["{" + ",".join(_json_names(part, where)) + "}" for part in value]
+            elif key in ("cycles", "paths"):
+                # A string is one step-list token, as in the text format.
+                args = [value if isinstance(value, str) else ",".join(_json_names(value, where))]
+            else:
+                args = _json_names(value, where)
+            decls.append((where, _JSON_KINDS[key], [name, *args]))
+    return decls
+
+
 def parse_graph_document(text: str) -> GraphDocument:
-    """Parse the text or JSON graph format, with line diagnostics."""
+    """Parse the text or JSON graph format; an error names the line (or the
+    JSON entry) of the declaration it comes from."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _parse_json_document(stripped)
+        declarations = _json_declarations(stripped)
+    else:
+        declarations = _text_declarations(text)
 
     vertices: list = []
     edges: dict = {}
     bundles: dict = {}
-    deferred: list = []  # (kind, lineno, parts) resolved after graph build
+    deferred: list = []  # (where, kind, args) resolved after graph build
     seen_ids: set = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        if kind == "vertex":
-            if len(args) != 1:
-                _fail(lineno, "vertex takes one id")
-            name = _check_id(lineno, args[0])
-            if name in seen_ids:
-                _fail(lineno, f"duplicate id {name!r}")
-            seen_ids.add(name)
-            vertices.append(name)
-        elif kind in ("edge", "bundle"):
-            if len(args) != 3:
-                _fail(lineno, f"{kind} takes: id src tgt")
-            name = _check_id(lineno, args[0])
-            if name in seen_ids:
-                _fail(lineno, f"duplicate id {name!r}")
-            seen_ids.add(name)
-            table = edges if kind == "edge" else bundles
-            table[name] = (args[1], args[2])
-        elif kind in ("cycle", "path", "pair"):
-            deferred.append((kind, lineno, args))
-        else:
-            _fail(lineno, f"unknown declaration {kind!r}")
+    def new_id(name):
+        if _check_id(name) in seen_ids:
+            raise InputError(f"duplicate id {name!r}")
+        seen_ids.add(name)
+        return name
+
+    try:
+        for where, kind, args in declarations:
+            if kind == "vertex":
+                if len(args) != 1:
+                    raise InputError("vertex takes one id")
+                vertices.append(new_id(args[0]))
+            elif kind in ("edge", "bundle"):
+                if len(args) != 3:
+                    raise InputError(f"{kind} takes: id src tgt")
+                table = edges if kind == "edge" else bundles
+                table[new_id(args[0])] = (args[1], args[2])
+            elif kind in ("cycle", "path", "pair"):
+                deferred.append((where, kind, args))
+            else:
+                raise InputError(f"unknown declaration {kind!r}")
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
 
     if not vertices:
         raise InputError("graph file declares no vertices")
@@ -137,50 +190,25 @@ def parse_graph_document(text: str) -> GraphDocument:
             raise InputError(f"edge/bundle {name!r} references unknown vertex")
     doc = GraphDocument(Graph(vertices, edges, bundles))
 
-    for kind, lineno, args in deferred:
-        if kind == "cycle":
-            if len(args) != 2:
-                _fail(lineno, "cycle takes: name steps")
-            name = _check_id(lineno, args[0])
-            p = _parse_steps(doc.graph, args[1], lineno)
-            doc.cycles[name] = make_cycle(doc.graph, p.start, p.steps)
-        elif kind == "path":
-            if len(args) != 2:
-                _fail(lineno, "path takes: name steps (or @vertex)")
-            name = _check_id(lineno, args[0])
-            doc.paths[name] = _parse_steps(doc.graph, args[1], lineno)
-        else:
-            if len(args) != 3:
-                _fail(lineno, "pair takes: name {H} {S}")
-            name = _check_id(lineno, args[0])
-            H = _parse_vertex_set(doc.graph, args[1], lineno)
-            S = _parse_vertex_set(doc.graph, args[2], lineno)
-            doc.pairs[name] = admissible_pair(doc.graph, H, S)
-    return doc
-
-
-def _parse_json_document(text: str) -> GraphDocument:
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"bad JSON graph document: {exc}") from exc
-    vertices = data.get("vertices", [])
-    if not vertices:
-        raise InputError("graph document declares no vertices")
-    edges = {k: tuple(v) for k, v in data.get("edges", {}).items()}
-    bundles = {k: tuple(v) for k, v in data.get("bundles", {}).items()}
-    doc = GraphDocument(Graph(vertices, edges, bundles))
-    for name, steps in data.get("cycles", {}).items():
-        refs = [parse_ref(s, doc.graph) for s in steps]
-        doc.cycles[name] = make_cycle(doc.graph, doc.graph.src(refs[0]), refs)
-    for name, steps in data.get("paths", {}).items():
-        if isinstance(steps, str):
-            doc.paths[name] = _parse_steps(doc.graph, steps, 0)
-        else:
-            refs = [parse_ref(s, doc.graph) for s in steps]
-            doc.paths[name] = make_path(doc.graph, doc.graph.src(refs[0]), refs)
-    for name, hs in data.get("pairs", {}).items():
-        doc.pairs[name] = admissible_pair(doc.graph, hs[0], hs[1])
+        for where, kind, args in deferred:
+            if kind == "cycle":
+                if len(args) != 2:
+                    raise InputError("cycle takes: name steps")
+                doc.cycles[_check_id(args[0])] = parse_cycle(doc.graph, args[1])
+            elif kind == "path":
+                if len(args) != 2:
+                    raise InputError("path takes: name steps (or @vertex)")
+                doc.paths[_check_id(args[0])] = parse_steps(doc.graph, args[1])
+            else:
+                if len(args) != 3:
+                    raise InputError("pair takes: name {H} {S}")
+                name = _check_id(args[0])
+                H = _parse_vertex_set(doc.graph, args[1])
+                S = _parse_vertex_set(doc.graph, args[2])
+                doc.pairs[name] = admissible_pair(doc.graph, H, S)
+    except InputError as exc:
+        raise InputError(f"{where}: {exc}") from exc
     return doc
 
 
@@ -290,7 +318,10 @@ class _ExprParser:
             self.take()
             if "/" in val:
                 n, d = val.split("/")
-                coeff = self.field.coerce(int(n)) / self.field.coerce(int(d))
+                den = self.field.coerce(int(d))
+                if den == 0:
+                    raise InputError(f"scalar {val!r} divides by zero in {self.field.name}")
+                coeff = self.field.coerce(int(n)) / den
             else:
                 coeff = self.field.coerce(int(val))
             have_scalar = True

@@ -1,7 +1,7 @@
 """Named verification suites over the built-in catalog plus optional extra
-graphs.  The CLI verify command and the acceptance tests run these with
-different budgets; every check returns a pass/fail result with a witness
-detail, and runs are deterministic under a fixed seed.
+graphs.  The CLI (verify, ann --verify) and the acceptance tests run these
+checks with different budgets; every check returns a pass/fail result with a
+witness detail, and runs are deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -54,25 +54,33 @@ def _random_subset(rng, items):
     return frozenset(x for x in items if rng.random() < 0.5)
 
 
-def _random_element(g: Graph, rng, max_len=3, max_terms=2, field=QQ):
-    paths = list(enumerate_paths(g, max_len, 2))
+def path_index(g: Graph):
+    """The paths of length at most 3 (two copies per bundle) and the same
+    paths grouped by end vertex: what random_element draws from."""
+    paths = list(enumerate_paths(g, 3, 2))
     by_end = {}
     for p in paths:
         by_end.setdefault(p.end, []).append(p)
-    out = alg.zero(g, field)
-    for _ in range(rng.randint(1, max_terms)):
+    return paths, by_end
+
+
+def random_element(g: Graph, rng, index) -> alg.AlgebraElement:
+    """One or two random monomials p q* over the graph's path index."""
+    paths, by_end = index
+    out = alg.zero(g)
+    for _ in range(rng.randint(1, 2)):
         p = rng.choice(paths)
         q = rng.choice(by_end[p.end])
         k = rng.choice([-2, -1, 1, 2, 3])
-        out = out + alg.monomial(g, p, q, coeff=k, field=field)
+        out = out + alg.monomial(g, p, q, coeff=k)
     return out
 
 
-def _random_homogeneous(g: Graph, rng, max_len=3, field=QQ):
-    a = _random_element(g, rng, max_len, 2, field)
+def _random_homogeneous(g: Graph, rng, index):
+    a = random_element(g, rng, index)
     parts = alg.homogeneous_components(a)
     if not parts:
-        return alg.vertex(g, g.vertex_list[0], field)
+        return alg.vertex(g, g.vertex_list[0])
     key = rng.choice(sorted(parts))
     return parts[key]
 
@@ -82,13 +90,13 @@ def _random_homogeneous(g: Graph, rng, max_len=3, field=QQ):
 # ---------------------------------------------------------------------------
 
 
-def graph_core_suite(graphs: dict, rng: random.Random, rounds: int = 20) -> list:
+def graph_core_suite(graphs: dict, rng: random.Random) -> list:
     results = []
     closure_ok = True
     complement_ok = True
     detail = ""
     for name, g in graphs.items():
-        for _ in range(rounds):
+        for _ in range(20):
             V = _random_subset(rng, g.vertex_list)
             R = root(g, V)
             if not (V <= R and root(g, R) == R):
@@ -161,17 +169,16 @@ def graph_core_suite(graphs: dict, rng: random.Random, rounds: int = 20) -> list
 # ---------------------------------------------------------------------------
 
 
-def term_engine_suite(
-    graphs: dict, rng: random.Random, rounds_per_graph: int = 50, field=QQ
-) -> list:
+def term_engine_suite(graphs: dict, rng: random.Random) -> list:
     results = []
     assoc = distrib = invol = graded = congr = units = True
     detail = ""
     for name, g in graphs.items():
-        for _ in range(rounds_per_graph):
-            a = _random_element(g, rng, field=field)
-            b = _random_element(g, rng, field=field)
-            c = _random_element(g, rng, field=field)
+        index = path_index(g)
+        for _ in range(50):
+            a = random_element(g, rng, index)
+            b = random_element(g, rng, index)
+            c = random_element(g, rng, index)
             if (a * b) * c != a * (b * c):
                 assoc, detail = False, f"{name}"
             if a * (b + c) != a * b + a * c:
@@ -180,8 +187,8 @@ def term_engine_suite(
                 invol, detail = False, f"{name}"
             if alg.star(alg.star(a)) != a:
                 invol, detail = False, f"{name} (involution)"
-            ha = _random_homogeneous(g, rng, field=field)
-            hb = _random_homogeneous(g, rng, field=field)
+            ha = _random_homogeneous(g, rng, index)
+            hb = _random_homogeneous(g, rng, index)
             prod = ha * hb
             if not prod.is_zero and not ha.is_zero and not hb.is_zero:
                 if not alg.is_homogeneous(prod) or alg.degree(prod) != alg.degree(
@@ -223,7 +230,7 @@ def term_engine_suite(
 # ---------------------------------------------------------------------------
 
 
-def ideal_suite(graphs: dict, rng: random.Random, element_rounds: int = 5) -> list:
+def ideal_suite(graphs: dict, rng: random.Random) -> list:
     results = []
     gen_ok = quot_ok = lemma_ok = closure_ok = True
     detail = ""
@@ -252,14 +259,15 @@ def ideal_suite(graphs: dict, rng: random.Random, element_rounds: int = 5) -> li
             if lhs != rhs:
                 lemma_ok, detail = False, f"{name} {pair.label()}"
         proper = [p for p in idl.enumerate_admissible_pairs(g) if idl.is_proper(g, p)]
-        for _ in range(element_rounds):
+        index = path_index(g)
+        for _ in range(5):
             pair = rng.choice(proper)
             gens = idl.ideal_generators(g, pair)
             if not gens:
                 continue
             a = rng.choice(gens)
             b = rng.choice(gens)
-            r = _random_element(g, rng)
+            r = random_element(g, rng, index)
             for candidate in (a + b, r * a, a * r):
                 if not idl.contains(g, pair, candidate):
                     closure_ok, detail = False, f"{name} {pair.label()}"
@@ -275,6 +283,10 @@ def ideal_suite(graphs: dict, rng: random.Random, element_rounds: int = 5) -> li
 # ---------------------------------------------------------------------------
 # Classification suite
 # ---------------------------------------------------------------------------
+
+
+# The Chen witness kind that each case of the classification calls for.
+WITNESS_KIND = {"3b": "relative_sink", "3c": "extreme_cycle", "3d": "exclusive_cycle"}
 
 
 def classification_suite(
@@ -309,32 +321,17 @@ def classification_suite(
                 except InternalCheckError as exc:
                     witness_ok, detail = False, f"{name} {pair.label()}: {exc}"
                 else:
-                    wanted = {
-                        "3b": "relative_sink",
-                        "3c": "extreme_cycle",
-                        "3d": "exclusive_cycle",
-                    }[record.case.case]
-                    if w.kind != wanted:
+                    if w.kind != WITNESS_KIND[record.case.case]:
                         witness_ok, detail = False, f"{name} {pair.label()}"
             # Case uniqueness: every base vertex classifies to the same case.
             bases = cls.base_vertices(g, pair.H)
+            comp = g.vertices - pair.H
             kinds = set()
             for v in bases:
-                comp = g.vertices - pair.H
-                outs = [r for r in g.out_refs(v, 2) if g.tgt(r) in comp]
-                if not outs:
-                    kinds.add("3b")
-                else:
-                    from .graphs import cycles_through
-
-                    cyc_kinds = {
-                        classify_cycle(g, c, comp).kind
-                        for c in cycles_through(g, v)
-                    }
-                    if "exclusive" in cyc_kinds:
-                        kinds.add("3d")
-                    elif "extreme_in_V" in cyc_kinds:
-                        kinds.add("3c")
+                try:
+                    kinds.add(cls.classify_base_vertex(g, comp, v).kind)
+                except InternalCheckError as exc:
+                    unique, detail = False, f"{name} {pair.label()}: {exc}"
             if len(kinds) > 1:
                 unique, detail = False, f"{name} {pair.label()}: {kinds}"
             base = cls.find_base_vertex(g, pair.H) if bases else None
@@ -399,7 +396,47 @@ def catalog_modules(graphs: dict) -> list:
     return out
 
 
-def module_suite(graphs: dict, rng: random.Random, t: Truncation, recover_rounds: int = 40) -> list:
+def check_annihilator(g: Graph, d, ideal, t: Truncation, field=QQ):
+    """Check the annihilator ``ideal`` of module ``d`` on the window t.
+
+    Returns the AnnihilationReport of its generators and the vertices outside
+    H that act as zero on the whole window (each should have a witness)."""
+    system = chen.build_module(g, d)
+    gens = chen.annihilator_generators(g, d, field, ideal)
+    window = list(system.enumerate(t))
+    missing = [
+        u
+        for u in sorted(g.vertices - ideal.pair.H)
+        if all(
+            act(system, alg.vertex(g, u, field), ModuleVector.unit(x, field), t).is_zero
+            for x in window
+        )
+    ]
+    return annihilation_check(system, gens, t), missing
+
+
+def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) -> list:
+    """Generator recovery on ``rounds`` random nonzero homogeneous vectors of
+    the N_c module's window (one to three basis elements of one degree, with
+    coefficients in {-3, -2, -1, 1, 2, 3}); returns the (vector, witness)
+    pairs.  A failed recovery raises InternalCheckError or WindowOverflow."""
+    system = chen.build_module(g, d)
+    by_degree: dict = {}
+    for x in system.enumerate(t):
+        by_degree.setdefault(system.degree(x), []).append(x)
+    degrees = sorted(by_degree)
+    out = []
+    for _ in range(rounds):
+        elems = by_degree[rng.choice(degrees)]
+        support = rng.sample(elems, k=min(len(elems), rng.randint(1, 3)))
+        vec = ModuleVector(
+            QQ, {x: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for x in support}
+        )
+        out.append((vec, chen.recover_generator(g, d, vec, t)))
+    return out
+
+
+def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
     results = []
 
     nc_ok, nc_detail = True, ""
@@ -426,21 +463,11 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation, recover_rounds
     ann_ok, ann_detail = True, ""
     nonmember_ok = True
     for name, g, d in catalog_modules(graphs):
-        sys = chen.build_module(g, d)
-        gens = chen.annihilator_generators(g, d)
-        rep = annihilation_check(sys, gens, t)
+        rep, missing = check_annihilator(g, d, chen.annihilator(g, d), t)
         if not rep.passed:
             ann_ok, ann_detail = False, f"{name} {d.label()}: {rep.failures[:1]}"
-        ideal = chen.annihilator(g, d)
-        H = ideal.pair.H
-        window = list(sys.enumerate(t))
-        for u in sorted(g.vertices - H):
-            hit = any(
-                not act(sys, alg.vertex(g, u), ModuleVector.unit(x), t).is_zero
-                for x in window
-            )
-            if not hit:
-                nonmember_ok, ann_detail = False, f"{name} {d.label()} vertex {u}"
+        if missing:
+            nonmember_ok, ann_detail = False, f"{name} {d.label()} vertices {missing}"
     results.append(_result("annihilator generators annihilate the window", ann_ok, ann_detail))
     results.append(
         _result("vertices outside H act nontrivially somewhere", nonmember_ok, ann_detail)
@@ -464,22 +491,10 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation, recover_rounds
 
     rec_ok, rec_detail = True, ""
     for name, g, d in catalog_nc_modules(graphs):
-        sys = chen.build_module(g, d)
-        by_degree: dict = {}
-        for x in sys.enumerate(t):
-            by_degree.setdefault(sys.degree(x), []).append(x)
-        degrees = sorted(by_degree)
-        for _ in range(recover_rounds):
-            deg = rng.choice(degrees)
-            elems = by_degree[deg]
-            support = rng.sample(elems, k=min(len(elems), rng.randint(1, 3)))
-            vec = ModuleVector(
-                QQ, {x: Fraction(rng.choice([-2, -1, 1, 2, 3])) for x in support}
-            )
-            try:
-                chen.recover_generator(g, d, vec, t)
-            except (InternalCheckError, WindowOverflow) as exc:
-                rec_ok, rec_detail = False, f"{name} {d.label()}: {exc}"
+        try:
+            recovery_sweep(g, d, t, rng, 40)
+        except (InternalCheckError, WindowOverflow) as exc:
+            rec_ok, rec_detail = False, f"{name} {d.label()}: {exc}"
     results.append(
         _result("generator recovery succeeds on random homogeneous vectors", rec_ok, rec_detail)
     )
@@ -527,8 +542,6 @@ def run_suites(
     seed: int = 0,
     window: Truncation = Truncation(5, 2),
     random_graphs: int = 40,
-    term_rounds: int = 50,
-    recover_rounds: int = 40,
 ) -> list:
     """Run every suite over the catalog (plus extra graphs); deterministic
     under the seed."""
@@ -537,8 +550,8 @@ def run_suites(
         graphs.update(extra_graphs)
     results = []
     results += graph_core_suite(graphs, random.Random(seed))
-    results += term_engine_suite(graphs, random.Random(seed + 1), term_rounds)
+    results += term_engine_suite(graphs, random.Random(seed + 1))
     results += ideal_suite(graphs, random.Random(seed + 2))
     results += classification_suite(graphs, random.Random(seed + 3), random_graphs)
-    results += module_suite(graphs, random.Random(seed + 4), window, recover_rounds)
+    results += module_suite(graphs, random.Random(seed + 4), window)
     return results

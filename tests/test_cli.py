@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leavitt import cli
 from leavitt.catalog import CATALOG, G2, G3
 from leavitt.errors import InputError
+from leavitt.fields import QQ, PrimeField
 from leavitt.graphio import (
     emit_graph,
     parse_element,
@@ -76,6 +79,14 @@ class TestGraphFileParsing:
     def test_bad_json(self):
         with pytest.raises(InputError):
             parse_graph_document("{not json")
+
+    def test_json_step_string_reads_as_text_token(self):
+        data = {**V_LOOP_JSON, "cycles": {"loop": ",c"}, "paths": {"cc": "c,,c", "at_v": "@v"}}
+        doc = parse_graph_document(json.dumps(data))
+        text = parse_graph_document(
+            "vertex v\nedge c v v\ncycle loop ,c\npath cc c,,c\npath at_v @v\n"
+        )
+        assert doc.cycles == text.cycles and doc.paths == text.paths
 
 
 class TestExpressionParser:
@@ -361,3 +372,108 @@ class TestVerifyCommand:
     def test_needs_target(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
+
+
+G2_TEXT = emit_graph(G2)
+V_LOOP_JSON = {"vertices": ["v"], "edges": {"c": ["v", "v"]}}
+
+# (graph file text, arguments after the global flags with FILE for its path)
+MALFORMED = {
+    "json edge with one endpoint": (
+        json.dumps({"vertices": ["v"], "edges": {"e": ["v"]}}), ["pairs", "FILE"]
+    ),
+    "json empty cycle": (
+        json.dumps({**V_LOOP_JSON, "cycles": {"loop": []}}), ["pairs", "FILE"]
+    ),
+    "json pair without S": (
+        json.dumps({**V_LOOP_JSON, "pairs": {"P": [[]]}}), ["pairs", "FILE"]
+    ),
+    "json vertices as a string": (json.dumps({"vertices": "vw"}), ["pairs", "FILE"]),
+    "json primed vertex id": (
+        json.dumps({"vertices": ["v'"], "edges": {"c": ["v'", "v'"]}}),
+        ["classify", "FILE", "--all"],
+    ),
+    "json edge id ending in a newline": (
+        json.dumps({"vertices": ["v"], "edges": {"e\n": ["v", "v"]}}), ["pairs", "FILE"]
+    ),
+    "json cycle string with a space": (
+        json.dumps({**V_LOOP_JSON, "cycles": {"loop": "c c"}}), ["pairs", "FILE"]
+    ),
+    "json unknown section": (json.dumps({**V_LOOP_JSON, "loops": {}}), ["pairs", "FILE"]),
+    "json edges as a list": (json.dumps({"vertices": ["v"], "edges": []}), ["pairs", "FILE"]),
+    "json path of a number": (json.dumps({**V_LOOP_JSON, "paths": {"p": 3}}), ["pairs", "FILE"]),
+    "empty rational-tail prefix": (
+        G2_TEXT, ["ann", "FILE", "--module", "valpha:rat::c"]
+    ),
+    "empty inline cycle": (G2_TEXT, ["ann", "FILE", "--module", "nc:,@v"]),
+    "GF(5) scalar 1/5": (
+        G2_TEXT,
+        ["--field", "p:5", "act", "FILE", "--module", "nc:c@v",
+         "--element", "1/5 v", "--basis", "v"],
+    ),
+    "scalar 1/0": (
+        G2_TEXT,
+        ["act", "FILE", "--module", "nc:c@v", "--element", "1/0 v", "--basis", "v"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    text, argv = MALFORMED[case]
+    path = tmp_path / "input.graph"
+    path.write_text(text)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+# Declaration keywords and tokens of the text format, well formed or not.
+_GRAPH_WORDS = st.sampled_from([
+    "vertex", "edge", "bundle", "cycle", "path", "pair", "widget", "v", "w",
+    "v'", "e", "c", "b", "b[0]", "b[x]", "@v", "@", "c,e", ",", "{v}", "{}",
+    "{v,w}", "{", "}", "#", "[", "", "e\n", "c c", "b[0]\n",
+])
+_GRAPH_TEXT = st.lists(
+    st.lists(_GRAPH_WORDS, max_size=5).map(" ".join), max_size=8
+).map("\n".join)
+_JSON_LEAF = st.none() | st.integers(-2, 3) | _GRAPH_WORDS
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_GRAPH_WORDS, inner, max_size=3),
+    max_leaves=8,
+)
+_JSON_TEXT = st.dictionaries(
+    st.sampled_from(["vertices", "edges", "bundles", "cycles", "paths", "pairs", "x"]),
+    _JSON_VALUE,
+    max_size=4,
+).map(json.dumps)
+_ELEMENT = st.lists(
+    st.sampled_from([
+        "u", "v", "w", "e", "c", "b", "b[0]", "b[7]", "x", "*", "(", ")", "+",
+        "-", "0", "2", "1/2", "1/5", "1/0", "0/3", "/", " ", "e*",
+    ]),
+    max_size=8,
+).map(" ".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_GRAPH_TEXT | _JSON_TEXT)
+def test_graph_documents_raise_only_input_error(text):
+    try:
+        parse_graph_document(text)
+    except InputError:
+        pass
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_ELEMENT, st.sampled_from([QQ, PrimeField(5)]))
+def test_elements_raise_only_input_error(text, field):
+    try:
+        parse_element(G3, text, field)
+    except InputError:
+        pass
