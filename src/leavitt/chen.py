@@ -318,6 +318,17 @@ def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _paths_by_end(g: Graph, t: Truncation, ends) -> dict:
+    """The window's paths ending at each of the given vertices, each list in
+    enumerate_paths order, from one enumeration shared by every end."""
+    out = {v: [] for v in ends}
+    for p in enumerate_paths(g, t.max_path_length, t.bundle_sample):
+        bucket = out.get(p.end)
+        if bucket is not None:
+            bucket.append(p)
+    return out
+
+
 class NcBranchingSystem(BranchingSystem):
     """Reduced pairs p.q* with the reduction-twisted prepend action."""
 
@@ -327,7 +338,6 @@ class NcBranchingSystem(BranchingSystem):
         self.graph = g
         self.cycle = cycle.canonical()
         self.v = v
-        self.cycle_at_v = self.cycle.rotate_to(v)
         self._cycle_edges = set(self.cycle.steps)
 
     def basis_vertex(self) -> ReducedPair:
@@ -337,14 +347,10 @@ class NcBranchingSystem(BranchingSystem):
         return red(self.graph, self.cycle, self.v, p, q)
 
     def enumerate(self, t: Truncation):
-        for k in range(t.max_path_length + 1):
-            q = self.cycle_at_v.walk_from(self.v, k)
-            for p in enumerate_paths(
-                self.graph, t.max_path_length, t.bundle_sample, end=q.end
-            ):
-                if p.steps and q.steps and p.steps[-1] == q.steps[-1]:
-                    continue
-                yield ReducedPair(p, q)
+        for p, q in _windowed_pairs(self.graph, NcModule(self.cycle, self.v), t):
+            if p.steps and q.steps and p.steps[-1] == q.steps[-1]:
+                continue
+            yield ReducedPair(p, q)
 
     def in_window(self, x: ReducedPair, t: Truncation) -> bool:
         if len(x.p) > t.max_path_length or len(x.q) > t.max_path_length:
@@ -429,12 +435,12 @@ class RationalTailSystem(BranchingSystem):
         self.cycle = spec.cycle
 
     def enumerate(self, t: Truncation):
-        for w in sorted(self.cycle.vertex_set):
+        anchors = sorted(self.cycle.vertex_set)
+        paths = _paths_by_end(self.graph, t, anchors)
+        for w in anchors:
             cyc_w = self.cycle.rotate_to(w)
             entering = cyc_w.edge_into(w)
-            for p in enumerate_paths(
-                self.graph, t.max_path_length, t.bundle_sample, end=w
-            ):
+            for p in paths[w]:
                 if p.steps and p.steps[-1] == entering:
                     continue
                 yield RationalTailSpec(p, cyc_w)
@@ -492,11 +498,10 @@ class IrrationalTailSystem(BranchingSystem):
         return TailElement(q, m)
 
     def enumerate(self, t: Truncation):
-        for m in range(t.max_path_length + 1):
-            anchor = self.rule.vertex_at(m)
-            for q in enumerate_paths(
-                self.graph, t.max_path_length, t.bundle_sample, end=anchor
-            ):
+        anchors = [self.rule.vertex_at(m) for m in range(t.max_path_length + 1)]
+        paths = _paths_by_end(self.graph, t, anchors)
+        for m, anchor in enumerate(anchors):
+            for q in paths[anchor]:
                 if m >= 1 and q.steps and q.steps[-1] == self.rule.edge_at(m):
                     continue
                 yield TailElement(q, m)
@@ -913,9 +918,10 @@ class IdentityReport:
 def _windowed_pairs(g: Graph, d: NcModule, t: Truncation):
     """All (p, q) in Y within the window: r(p) = r(q), q inside the cycle."""
     cycle_at_v = d.cycle.rotate_to(d.v)
-    for k in range(t.max_path_length + 1):
-        q = cycle_at_v.walk_from(d.v, k)
-        for p in enumerate_paths(g, t.max_path_length, t.bundle_sample, end=q.end):
+    qs = [cycle_at_v.walk_from(d.v, k) for k in range(t.max_path_length + 1)]
+    paths = _paths_by_end(g, t, [q.end for q in qs])
+    for q in qs:
+        for p in paths[q.end]:
             yield p, q
 
 

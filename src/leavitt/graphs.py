@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError
@@ -28,6 +29,19 @@ def ref_str(ref: EdgeRef) -> str:
 
 def is_bundle_ref(ref: EdgeRef) -> bool:
     return isinstance(ref, tuple)
+
+
+class _Analysis:
+    """Structures derived from one graph, each computed on first use.  A graph
+    never changes after ``__init__``, so no entry is ever invalidated."""
+
+    __slots__ = ("cycles", "roots", "trees", "quotients")
+
+    def __init__(self):
+        self.cycles = {}  # bundle_sample -> tuple of cycles, in enumeration order
+        self.roots = {}  # v -> R({v})
+        self.trees = {}  # v -> T({v})
+        self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
 
 
 class Graph:
@@ -74,6 +88,10 @@ class Graph:
             f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges, "
             f"{len(self.bundles)} bundles)"
         )
+
+    @cached_property
+    def _analysis(self) -> _Analysis:
+        return _Analysis()
 
     # -- ids and endpoints ------------------------------------------------
 
@@ -394,16 +412,34 @@ def _closure(adjacency, seeds: Iterable[str]) -> frozenset:
     return frozenset(seen)
 
 
+def _root_of(g: Graph, v: str) -> frozenset:
+    roots = g._analysis.roots
+    r = roots.get(v)
+    if r is None:
+        r = roots[v] = _closure(g.predecessors, [v])
+    return r
+
+
+def _tree_of(g: Graph, v: str) -> frozenset:
+    trees = g._analysis.trees
+    t = trees.get(v)
+    if t is None:
+        t = trees[v] = _closure(g.successors, [v])
+    return t
+
+
 def root(g: Graph, V: Iterable[str]) -> frozenset:
-    """R(V): every vertex with a path into V (reverse reachability)."""
+    """R(V): every vertex with a path into V (reverse reachability), the
+    union of the per-vertex roots, which are computed once per graph."""
     V = g.check_vertices(V)
-    return _closure(g.predecessors, V)
+    return frozenset().union(*(_root_of(g, v) for v in V))
 
 
 def tree(g: Graph, V: Iterable[str]) -> frozenset:
-    """T(V): every vertex some member of V reaches (forward reachability)."""
+    """T(V): every vertex some member of V reaches (forward reachability),
+    the union of the per-vertex trees, which are computed once per graph."""
     V = g.check_vertices(V)
-    return _closure(g.successors, V)
+    return frozenset().union(*(_tree_of(g, v) for v in V))
 
 
 def is_hereditary(g: Graph, H: Iterable[str]):
@@ -413,8 +449,9 @@ def is_hereditary(g: Graph, H: Iterable[str]):
     """
     H = g.check_vertices(H)
     for u in sorted(H):
-        for v in sorted(tree(g, [u]) - H):
-            return False, (u, v)
+        escaped = _tree_of(g, u) - H
+        if escaped:
+            return False, (u, min(escaped))
     return True, None
 
 
@@ -440,7 +477,7 @@ def hereditary_saturated_closure(g: Graph, V: Iterable[str]) -> frozenset:
                 continue
             if g.is_regular(v) and all(g.tgt(e) in H for e in g.out_edge_ids(v)):
                 H.add(v)
-                H |= tree(g, [v])
+                H |= _tree_of(g, v)
                 changed = True
     return frozenset(H)
 
@@ -451,7 +488,7 @@ def is_downwards_directed(g: Graph, V: Iterable[str]):
     Returns (True, None) or (False, (u, v)) for an unboundable pair.
     """
     V = g.check_vertices(V)
-    reach = {v: root(g, [v]) for v in V}  # reach[w] = who reaches w
+    reach = {v: _root_of(g, v) for v in V}  # reach[w] = who reaches w
     for u, v in itertools.combinations(sorted(V), 2):
         if not any(u in reach[w] and v in reach[w] for w in V):
             return False, (u, v)
@@ -478,8 +515,22 @@ def enumerate_cycles(g: Graph, bundle_sample: int = 1) -> list:
     """All simple cycles in canonical rotation, each exactly once.
 
     Parallel bundle edges yield one cycle per sampled index; the default
-    sample 1 gives the index-0 representative of each parallel class.
+    sample 1 gives the index-0 representative of each parallel class.  The
+    cycles are enumerated once per graph and sample; every call returns a
+    new list.
     """
+    return list(_cycles(g, bundle_sample))
+
+
+def _cycles(g: Graph, bundle_sample: int) -> tuple:
+    cycles = g._analysis.cycles
+    found = cycles.get(bundle_sample)
+    if found is None:
+        found = cycles[bundle_sample] = tuple(_enumerate_cycles(g, bundle_sample))
+    return found
+
+
+def _enumerate_cycles(g: Graph, bundle_sample: int) -> list:
     cycles = set()
     order = {v: i for i, v in enumerate(g.vertex_list)}
 
@@ -525,7 +576,7 @@ def has_condition_L(g: Graph, V: Iterable[str]):
     Returns (True, None) or (False, exitless_cycle).
     """
     V = g.check_vertices(V)
-    for c in enumerate_cycles(g):
+    for c in _cycles(g, 1):
         if not c.vertex_set <= V:
             continue
         if not any(g.tgt(ref) in V for ref in cycle_exits(g, c)):
@@ -569,7 +620,7 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     else:
         exclusive = not any(
             other != canon and other.vertex_set & c.vertex_set
-            for other in enumerate_cycles(g)
+            for other in _cycles(g, 1)
         )
 
     exits_in_V = [ref for ref in cycle_exits(g, c) if g.tgt(ref) in V]
@@ -599,13 +650,13 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
 
 
 def cycles_through(g: Graph, v: str, bundle_sample: int = 2) -> list:
-    return [c for c in enumerate_cycles(g, bundle_sample) if v in c.vertex_set]
+    return [c for c in _cycles(g, bundle_sample) if v in c.vertex_set]
 
 
 def exitless_cycle_vertices(g: Graph) -> dict:
     """Vertices lying on a cycle with no exits at all, mapped to that cycle."""
     out = {}
-    for c in enumerate_cycles(g):
+    for c in _cycles(g, 1):
         if not cycle_exits(g, c):
             for v in c.sources:
                 out[v] = c

@@ -136,8 +136,20 @@ def _primed(name: str) -> str:
 def quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     """Drop H and everything pointing into it; double each unbroken breaking
     vertex v into a sink v' that receives primed copies of v's incoming
-    edges."""
-    pair = admissible_pair(g, pair.H, pair.S)
+    edges.
+
+    Built once per graph and pair: a repeat call returns the same object, so
+    the quotient's own derived structures are kept as well.
+    """
+    quotients = g._analysis.quotients
+    key = (frozenset(pair.H), frozenset(pair.S))
+    qg = quotients.get(key)
+    if qg is None:
+        qg = quotients[key] = _quotient_graph(g, admissible_pair(g, pair.H, pair.S))
+    return qg
+
+
+def _quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     H = pair.H
     unbroken = breaking_vertices(g, H) - pair.S
 

@@ -20,6 +20,7 @@ from .errors import InternalCheckError, WindowOverflow
 from .fields import QQ
 from .graphs import (
     Graph,
+    _closure,
     breaking_vertices,
     classify_cycle,
     enumerate_cycles,
@@ -47,7 +48,9 @@ class CheckResult:
 
 
 def _result(name, passed, detail=""):
-    return CheckResult(name, bool(passed), detail if not passed or detail else "")
+    """A check's result; the detail is a failure witness, so a passing check
+    drops it."""
+    return CheckResult(name, bool(passed), "" if passed else detail)
 
 
 def _random_subset(rng, items):
@@ -92,21 +95,20 @@ def _random_homogeneous(g: Graph, rng, index):
 
 def graph_core_suite(graphs: dict, rng: random.Random) -> list:
     results = []
-    closure_ok = True
-    complement_ok = True
-    detail = ""
+    closure_ok = complement_ok = True
+    closure_detail = complement_detail = ""
     for name, g in graphs.items():
         for _ in range(20):
             V = _random_subset(rng, g.vertex_list)
             R = root(g, V)
             if not (V <= R and root(g, R) == R):
-                closure_ok, detail = False, f"{name}: V={sorted(V)}"
+                closure_ok, closure_detail = False, f"{name}: V={sorted(V)}"
             W = _random_subset(rng, g.vertex_list)
             if V <= W and not root(g, V) <= root(g, W):
-                closure_ok, detail = False, f"{name}: monotonicity V={sorted(V)}"
+                closure_ok, closure_detail = False, f"{name}: monotonicity V={sorted(V)}"
             comp = g.vertices - R
             if not is_hereditary(g, comp)[0]:
-                complement_ok, detail = False, f"{name}: V={sorted(V)}"
+                complement_ok, complement_detail = False, f"{name}: V={sorted(V)}"
             # Saturation of the complement needs every regular vertex of V
             # to return into the root (a regular member whose edges all
             # leave R(V) is a counterexample to the blanket claim); every
@@ -117,13 +119,13 @@ def graph_core_suite(graphs: dict, rng: random.Random) -> list:
                 if g.is_regular(v)
             )
             if returns and not is_saturated(g, comp)[0]:
-                complement_ok, detail = False, f"{name}: V={sorted(V)}"
-    results.append(_result("root is a closure operator", closure_ok, detail))
+                complement_ok, complement_detail = False, f"{name}: V={sorted(V)}"
+    results.append(_result("root is a closure operator", closure_ok, closure_detail))
     results.append(
         _result(
             "complement of a root is hereditary (saturated given returns)",
             complement_ok,
-            detail,
+            complement_detail,
         )
     )
 
@@ -172,7 +174,8 @@ def graph_core_suite(graphs: dict, rng: random.Random) -> list:
 def term_engine_suite(graphs: dict, rng: random.Random) -> list:
     results = []
     assoc = distrib = invol = graded = congr = units = True
-    detail = ""
+    assoc_detail = distrib_detail = invol_detail = graded_detail = ""
+    congr_detail = units_detail = ""
     for name, g in graphs.items():
         index = path_index(g)
         for _ in range(50):
@@ -180,13 +183,13 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
             b = random_element(g, rng, index)
             c = random_element(g, rng, index)
             if (a * b) * c != a * (b * c):
-                assoc, detail = False, f"{name}"
+                assoc, assoc_detail = False, f"{name}"
             if a * (b + c) != a * b + a * c:
-                distrib, detail = False, f"{name}"
+                distrib, distrib_detail = False, f"{name}"
             if alg.star(a * b) != alg.star(b) * alg.star(a):
-                invol, detail = False, f"{name}"
+                invol, invol_detail = False, f"{name}"
             if alg.star(alg.star(a)) != a:
-                invol, detail = False, f"{name} (involution)"
+                invol, invol_detail = False, f"{name} (involution)"
             ha = _random_homogeneous(g, rng, index)
             hb = _random_homogeneous(g, rng, index)
             prod = ha * hb
@@ -194,18 +197,22 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
                 if not alg.is_homogeneous(prod) or alg.degree(prod) != alg.degree(
                     ha
                 ) + alg.degree(hb):
-                    graded, detail = False, f"{name}"
+                    graded, graded_detail = False, f"{name}"
             if alg.normal_form(a) != a:
-                congr, detail = False, f"{name} (idempotence)"
+                congr, congr_detail = False, f"{name} (idempotence)"
             u = alg.local_unit(a)
             if u * a != a or a * u != a:
-                units, detail = False, f"{name}"
-    results.append(_result("multiplication is associative", assoc, detail))
-    results.append(_result("multiplication distributes over addition", distrib, detail))
-    results.append(_result("star is an anti-multiplicative involution", invol, detail))
-    results.append(_result("degrees add under multiplication", graded, detail))
-    results.append(_result("normal form is idempotent on built elements", congr, detail))
-    results.append(_result("finite vertex sums are local units", units, detail))
+                units, units_detail = False, f"{name}"
+    results.append(_result("multiplication is associative", assoc, assoc_detail))
+    results.append(
+        _result("multiplication distributes over addition", distrib, distrib_detail)
+    )
+    results.append(_result("star is an anti-multiplicative involution", invol, invol_detail))
+    results.append(_result("degrees add under multiplication", graded, graded_detail))
+    results.append(
+        _result("normal form is idempotent on built elements", congr, congr_detail)
+    )
+    results.append(_result("finite vertex sums are local units", units, units_detail))
 
     # Degree-zero corner of the single-loop graph collapses to the vertex.
     g1 = graphs.get("G1")
@@ -233,20 +240,20 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
 def ideal_suite(graphs: dict, rng: random.Random) -> list:
     results = []
     gen_ok = quot_ok = lemma_ok = closure_ok = True
-    detail = ""
+    gen_detail = quot_detail = lemma_detail = closure_detail = ""
     for name, g in graphs.items():
         for pair in idl.enumerate_admissible_pairs(g):
             for gen in idl.ideal_generators(g, pair):
                 if not idl.contains(g, pair, gen):
-                    gen_ok, detail = False, f"{name} {pair.label()}"
+                    gen_ok, gen_detail = False, f"{name} {pair.label()}"
             for v in sorted(g.vertices - pair.H):
                 if idl.contains(g, pair, alg.vertex(g, v)):
-                    gen_ok, detail = False, f"{name} {pair.label()} vertex {v}"
+                    gen_ok, gen_detail = False, f"{name} {pair.label()} vertex {v}"
             qg = idl.quotient_graph(g, pair)
             B = breaking_vertices(g, pair.H)
             want = len(g.vertices - pair.H) + len(B - pair.S)
             if len(qg.graph.vertices) != want:
-                quot_ok, detail = False, f"{name} {pair.label()}"
+                quot_ok, quot_detail = False, f"{name} {pair.label()}"
             # The quotient vertex set is downwards directed exactly when the
             # complement is and S misses at most one u with full root.
             lhs = is_downwards_directed(qg.graph, qg.graph.vertices)[0]
@@ -257,7 +264,7 @@ def ideal_suite(graphs: dict, rng: random.Random) -> list:
                 or (len(missing) == 1 and root(g, [next(iter(missing))]) == comp)
             )
             if lhs != rhs:
-                lemma_ok, detail = False, f"{name} {pair.label()}"
+                lemma_ok, lemma_detail = False, f"{name} {pair.label()}"
         proper = [p for p in idl.enumerate_admissible_pairs(g) if idl.is_proper(g, p)]
         index = path_index(g)
         for _ in range(5):
@@ -270,13 +277,21 @@ def ideal_suite(graphs: dict, rng: random.Random) -> list:
             r = random_element(g, rng, index)
             for candidate in (a + b, r * a, a * r):
                 if not idl.contains(g, pair, candidate):
-                    closure_ok, detail = False, f"{name} {pair.label()}"
-    results.append(_result("generators lie in their ideal; outside vertices do not", gen_ok, detail))
-    results.append(_result("quotient vertex counts match the construction", quot_ok, detail))
+                    closure_ok, closure_detail = False, f"{name} {pair.label()}"
     results.append(
-        _result("quotient downward-directedness matches the finite criterion", lemma_ok, detail)
+        _result("generators lie in their ideal; outside vertices do not", gen_ok, gen_detail)
     )
-    results.append(_result("membership is closed under the ideal operations", closure_ok, detail))
+    results.append(_result("quotient vertex counts match the construction", quot_ok, quot_detail))
+    results.append(
+        _result(
+            "quotient downward-directedness matches the finite criterion",
+            lemma_ok,
+            lemma_detail,
+        )
+    )
+    results.append(
+        _result("membership is closed under the ideal operations", closure_ok, closure_detail)
+    )
     return results
 
 
@@ -298,7 +313,8 @@ def classification_suite(
         pool[f"random{i}"] = random_graph(rng)
 
     agree = implication = cond_l = unique = base_ok = witness_ok = True
-    detail = ""
+    agree_detail = implication_detail = cond_l_detail = ""
+    unique_detail = base_detail = witness_detail = ""
     pairs_seen = 0
     for name, g in pool.items():
         for pair in idl.enumerate_admissible_pairs(g):
@@ -308,21 +324,21 @@ def classification_suite(
             try:
                 record = cls.classify_graded_ideal(g, pair)
             except InternalCheckError as exc:
-                agree, detail = False, f"{name} {pair.label()}: {exc}"
+                agree, agree_detail = False, f"{name} {pair.label()}: {exc}"
                 continue
             if record.graded_primitive:
                 if not record.graded_prime:
-                    implication, detail = False, f"{name} {pair.label()}"
+                    implication, implication_detail = False, f"{name} {pair.label()}"
                 qg = idl.quotient_graph(g, pair)
                 if record.primitive != has_condition_L(qg.graph, qg.graph.vertices)[0]:
-                    cond_l, detail = False, f"{name} {pair.label()}"
+                    cond_l, cond_l_detail = False, f"{name} {pair.label()}"
                 try:
                     w = cls.chen_witness(g, pair)
                 except InternalCheckError as exc:
-                    witness_ok, detail = False, f"{name} {pair.label()}: {exc}"
+                    witness_ok, witness_detail = False, f"{name} {pair.label()}: {exc}"
                 else:
                     if w.kind != WITNESS_KIND[record.case.case]:
-                        witness_ok, detail = False, f"{name} {pair.label()}"
+                        witness_ok, witness_detail = False, f"{name} {pair.label()}"
             # Case uniqueness: every base vertex classifies to the same case.
             bases = cls.base_vertices(g, pair.H)
             comp = g.vertices - pair.H
@@ -331,27 +347,37 @@ def classification_suite(
                 try:
                     kinds.add(cls.classify_base_vertex(g, comp, v).kind)
                 except InternalCheckError as exc:
-                    unique, detail = False, f"{name} {pair.label()}: {exc}"
+                    unique, unique_detail = False, f"{name} {pair.label()}: {exc}"
             if len(kinds) > 1:
-                unique, detail = False, f"{name} {pair.label()}: {kinds}"
-            base = cls.find_base_vertex(g, pair.H) if bases else None
-            if base is not None and root(g, [base.v]) != g.vertices - pair.H:
-                base_ok, detail = False, f"{name} {pair.label()}"
+                unique, unique_detail = False, f"{name} {pair.label()}: {kinds}"
+            # The base vertices read off the cached roots are exactly the
+            # vertices whose root, searched afresh, is the whole complement.
+            for v in sorted(comp):
+                if (v in bases) != (_closure(g.predecessors, [v]) == comp):
+                    base_ok, base_detail = False, f"{name} {pair.label()}: {v}"
     results.append(
         _result(
             f"direct condition and case analysis agree ({pairs_seen} pairs)",
             agree,
-            detail,
+            agree_detail,
         )
     )
-    results.append(_result("graded primitive implies graded prime", implication, detail))
     results.append(
-        _result("primitivity matches Condition (L) on the quotient", cond_l, detail)
+        _result("graded primitive implies graded prime", implication, implication_detail)
     )
-    results.append(_result("the emitted case is unique", unique, detail))
-    results.append(_result("base vertices have the complement as root", base_ok, detail))
     results.append(
-        _result("every graded-primitive pair has a matching module witness", witness_ok, detail)
+        _result("primitivity matches Condition (L) on the quotient", cond_l, cond_l_detail)
+    )
+    results.append(_result("the emitted case is unique", unique, unique_detail))
+    results.append(
+        _result("base vertices have the complement as root", base_ok, base_detail)
+    )
+    results.append(
+        _result(
+            "every graded-primitive pair has a matching module witness",
+            witness_ok,
+            witness_detail,
+        )
     )
     return results
 
@@ -441,6 +467,7 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
 
     nc_ok, nc_detail = True, ""
     red_ok = ghost_ok = True
+    ghost_detail = ""
     for name, g, d in catalog_nc_modules(graphs):
         sys = chen.build_module(g, d)
         rep = check_axioms(sys, t)
@@ -453,24 +480,26 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
                 red_ok = False
         gar = chen.ghost_action_check(g, d, t)
         if not gar.passed:
-            ghost_ok, nc_detail = False, f"{name} {d.label()}"
+            ghost_ok, ghost_detail = False, f"{name} {d.label()}"
     results.append(
         _result("cyclic modules pass all axioms, perfect, saturated, graded", nc_ok, nc_detail)
     )
     results.append(_result("reduction is idempotent and degree-preserving", red_ok))
-    results.append(_result("ghost-action and prepend-reduction identities hold", ghost_ok))
+    results.append(
+        _result("ghost-action and prepend-reduction identities hold", ghost_ok, ghost_detail)
+    )
 
-    ann_ok, ann_detail = True, ""
-    nonmember_ok = True
+    ann_ok = nonmember_ok = True
+    ann_detail = nonmember_detail = ""
     for name, g, d in catalog_modules(graphs):
         rep, missing = check_annihilator(g, d, chen.annihilator(g, d), t)
         if not rep.passed:
             ann_ok, ann_detail = False, f"{name} {d.label()}: {rep.failures[:1]}"
         if missing:
-            nonmember_ok, ann_detail = False, f"{name} {d.label()} vertices {missing}"
+            nonmember_ok, nonmember_detail = False, f"{name} {d.label()} vertices {missing}"
     results.append(_result("annihilator generators annihilate the window", ann_ok, ann_detail))
     results.append(
-        _result("vertices outside H act nontrivially somewhere", nonmember_ok, ann_detail)
+        _result("vertices outside H act nontrivially somewhere", nonmember_ok, nonmember_detail)
     )
 
     naive_ok = True

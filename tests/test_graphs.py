@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
+from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6, random_graph
 from leavitt.errors import InputError
 from leavitt.graphs import (
     Graph,
+    _closure,
+    _enumerate_cycles,
     breaking_vertices,
     classify_cycle,
     cycle_exits,
@@ -376,3 +380,53 @@ class TestGraphValidation:
         assert G2.is_sink("w")
         assert G1.is_regular("v")
         assert not G4.is_regular("v")
+
+
+def _oracle_graphs():
+    """The catalog plus 300 seeded random graphs, each built afresh."""
+    rng = random.Random(2024)
+    graphs = [Graph(g.vertices, g.edges, g.bundles) for g in CATALOG.values()]
+    return graphs + [random_graph(rng) for _ in range(300)]
+
+
+class TestAnalysisCache:
+    """Every derived structure a graph caches equals the uncached
+    computation it replaces."""
+
+    def test_cycles_match_enumeration(self):
+        for g in _oracle_graphs():
+            for s in (1, 2):
+                assert enumerate_cycles(g, s) == _enumerate_cycles(g, s)
+                assert enumerate_cycles(g, s) == _enumerate_cycles(g, s)  # a hit
+
+    def test_returned_cycle_list_is_a_copy(self):
+        g = Graph(G6.vertices, G6.edges)
+        cycles = enumerate_cycles(g)
+        cycles.append(cycles[0])
+        cycles.reverse()
+        assert enumerate_cycles(g) == _enumerate_cycles(g, 1)
+        assert len(enumerate_cycles(g)) == 1
+
+    def test_closures_match_search(self):
+        rng = random.Random(7)
+        for g in _oracle_graphs():
+            for _ in range(3):
+                V = [v for v in g.vertex_list if rng.random() < 0.5]
+                assert root(g, V) == _closure(g.predecessors, V)
+                assert tree(g, V) == _closure(g.successors, V)
+                # is_hereditary reports the least escape of the least member
+                escapes = [
+                    (u, v)
+                    for u in sorted(V)
+                    for v in sorted(_closure(g.successors, [u]) - set(V))
+                ]
+                want = (False, escapes[0]) if escapes else (True, None)
+                assert is_hereditary(g, V) == want
+
+    def test_closure_still_validates(self):
+        g = Graph(G3.vertices, G3.edges, G3.bundles)
+        assert root(g, ["w"]) == {"u", "w"}
+        with pytest.raises(InputError):
+            root(g, ["w", "nope"])
+        with pytest.raises(InputError):
+            tree(g, ["nope"])

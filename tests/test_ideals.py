@@ -123,6 +123,26 @@ class TestQuotientGraph:
                 assert len(qg.graph.vertices) == len(g.vertices - p.H) + len(B - p.S)
 
 
+class TestQuotientCache:
+    def test_cached_quotient_matches_construction(self):
+        rng = random.Random(2024)
+        graphs = [Graph(g.vertices, g.edges, g.bundles) for g in CATALOG.values()]
+        graphs += [random_graph(rng) for _ in range(300)]
+        for g in graphs:
+            for p in idl.enumerate_admissible_pairs(g):
+                qg = idl.quotient_graph(g, p)
+                assert qg == idl._quotient_graph(g, p)
+                # an equal pair, given as lists, hits the cache
+                assert idl.quotient_graph(g, idl.AdmissiblePair(list(p.H), list(p.S))) is qg
+
+    def test_uncached_pair_is_validated(self):
+        g = Graph(G3.vertices, G3.edges, G3.bundles)
+        idl.quotient_graph(g, pair(g, ["w"], ["u"]))
+        for H, S in ((["w"], ["v"]), (["u"], []), (["x"], [])):
+            with pytest.raises(InputError):
+                idl.quotient_graph(g, idl.AdmissiblePair(frozenset(H), frozenset(S)))
+
+
 class TestQuotientMap:
     def test_generator_dies(self):
         uH = alg.vertex(G3, "u") - alg.edge(G3, "e") * alg.star(alg.edge(G3, "e"))
