@@ -44,8 +44,6 @@ from .graphs import (
     cycles_through,
     enumerate_cycles,
     is_downwards_directed,
-    is_hereditary,
-    is_saturated,
     root,
 )
 from .ideals import (
@@ -103,13 +101,7 @@ def find_base_vertex(g: Graph, H) -> Optional[BaseVertex]:
     None exactly when the complement is not downwards directed (on a finite
     graph a base vertex exists otherwise).
     """
-    H = g.check_vertices(H)
-    ok, witness = is_hereditary(g, H)
-    if not ok:
-        raise InputError(f"H not hereditary (witness {witness})")
-    ok, witness = is_saturated(g, H)
-    if not ok:
-        raise InputError(f"H not saturated (witness {witness})")
+    H = admissible_pair(g, H).H
     comp = g.vertices - H
     if not comp:
         raise InputError("the complement of H is empty")

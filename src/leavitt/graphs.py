@@ -11,6 +11,7 @@ reaches V and the tree T(V) everything V reaches.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
@@ -35,12 +36,23 @@ class _Analysis:
     """Structures derived from one graph, each computed on first use.  A graph
     never changes after ``__init__``, so no entry is ever invalidated."""
 
-    __slots__ = ("cycles", "roots", "trees", "quotients")
+    __slots__ = (
+        "cycles",
+        "cycle_counts",
+        "roots",
+        "trees",
+        "regular_targets",
+        "breaking",
+        "quotients",
+    )
 
     def __init__(self):
         self.cycles = {}  # bundle_sample -> tuple of cycles, in enumeration order
+        self.cycle_counts = None  # v -> number of sample-1 cycles through v
         self.roots = {}  # v -> R({v})
         self.trees = {}  # v -> T({v})
+        self.regular_targets = None  # regular v -> targets of its edges
+        self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
 
 
@@ -455,13 +467,24 @@ def is_hereditary(g: Graph, H: Iterable[str]):
     return True, None
 
 
+def _regular_targets(g: Graph) -> dict:
+    """Each regular vertex, in vertex order, mapped to the targets of its
+    edges; built once per graph."""
+    analysis = g._analysis
+    if analysis.regular_targets is None:
+        analysis.regular_targets = {
+            v: frozenset(g.edges[e][1] for e in g._out_edges[v])
+            for v in g.vertex_list
+            if g.is_regular(v)
+        }
+    return analysis.regular_targets
+
+
 def is_saturated(g: Graph, H: Iterable[str]):
     """H absorbs every regular vertex whose edges all land in H."""
     H = g.check_vertices(H)
-    for v in g.vertex_list:
-        if v in H or not g.is_regular(v):
-            continue
-        if all(g.tgt(e) in H for e in g.out_edge_ids(v)):
+    for v, targets in _regular_targets(g).items():
+        if v not in H and targets <= H:
             return False, v
     return True, None
 
@@ -469,13 +492,12 @@ def is_saturated(g: Graph, H: Iterable[str]):
 def hereditary_saturated_closure(g: Graph, V: Iterable[str]) -> frozenset:
     """Least hereditary and saturated superset of V (fixed point of both rules)."""
     H = set(tree(g, V))
+    regular_targets = _regular_targets(g)
     changed = True
     while changed:
         changed = False
-        for v in g.vertex_list:
-            if v in H:
-                continue
-            if g.is_regular(v) and all(g.tgt(e) in H for e in g.out_edge_ids(v)):
+        for v, targets in regular_targets.items():
+            if v not in H and targets <= H:
                 H.add(v)
                 H |= _tree_of(g, v)
                 changed = True
@@ -593,11 +615,19 @@ class CycleClassification:
     escape: Optional[str] = None  # vertex witnessing a non-returning escape
 
 
-def _induced_successors(g: Graph, V: frozenset):
-    def succ(v):
-        return {u for u in g.successors(v) if u in V}
+def _cycle_counts(g: Graph) -> Counter:
+    """The number of sample-1 cycles through each vertex, once per graph."""
+    analysis = g._analysis
+    if analysis.cycle_counts is None:
+        analysis.cycle_counts = Counter(v for c in _cycles(g, 1) for v in c.sources)
+    return analysis.cycle_counts
 
-    return succ
+
+def _induced(adjacency, V: frozenset):
+    def step(v):
+        return {u for u in adjacency(v) if u in V}
+
+    return step
 
 
 def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
@@ -613,15 +643,13 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     _closed_ok(g, c)
     if not c.vertex_set <= V:
         raise InputError("cycle vertices must lie inside V")
-    canon = c.canonical()
-
     if any(is_bundle_ref(s) for s in c.steps):
         exclusive = False
     else:
-        exclusive = not any(
-            other != canon and other.vertex_set & c.vertex_set
-            for other in _cycles(g, 1)
-        )
+        # c is itself one of the sample-1 cycles, so it is exclusive exactly
+        # when no other cycle passes through any of its vertices.
+        counts = _cycle_counts(g)
+        exclusive = all(counts[v] == 1 for v in c.sources)
 
     exits_in_V = [ref for ref in cycle_exits(g, c) if g.tgt(ref) in V]
     no_exit_in_V = not exits_in_V
@@ -629,14 +657,14 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     extreme = False
     escape = None
     if exits_in_V:
-        succ = _induced_successors(g, V)
-        reachable = _closure(succ, c.vertex_set)
-        extreme = True
-        for w in sorted(reachable):
-            if not _closure(succ, [w]) & c.vertex_set:
-                extreme = False
-                escape = w
-                break
+        # An escape is a vertex the cycle reaches inside V that cannot get
+        # back to the cycle inside V.
+        on_cycle = c.vertex_set
+        escapes = _closure(_induced(g.successors, V), on_cycle) - _closure(
+            _induced(g.predecessors, V), on_cycle
+        )
+        extreme = not escapes
+        escape = min(escapes) if escapes else None
 
     if exclusive:
         kind = "exclusive"
@@ -701,12 +729,22 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> frozenset:
     nonemptiness means at least one ordinary edge escapes H.
     """
     H = g.check_vertices(H)
-    ok, witness = is_hereditary(g, H)
-    if not ok:
-        raise InputError(f"H is not hereditary (witness {witness})")
-    ok, witness = is_saturated(g, H)
-    if not ok:
-        raise InputError(f"H is not saturated (witness {witness})")
+    B = g._analysis.breaking.get(H)
+    if B is None:
+        ok, witness = is_hereditary(g, H)
+        if not ok:
+            raise InputError(f"H is not hereditary (witness {witness})")
+        ok, witness = is_saturated(g, H)
+        if not ok:
+            raise InputError(f"H is not saturated (witness {witness})")
+        B = _breaking_vertices(g, H)
+    return B
+
+
+def _breaking_vertices(g: Graph, H: frozenset) -> frozenset:
+    """B_H for an H the caller knows to be hereditary and saturated.  The
+    result is remembered per graph, and a remembered H counts as validated
+    by ``breaking_vertices`` and ``ideals.admissible_pair``."""
     out = set()
     for v in g.vertex_list:
         if v in H or not g.is_infinite_emitter(v):
@@ -715,4 +753,5 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> frozenset:
             continue  # infinitely many edges stay outside H
         if any(g.tgt(e) not in H for e in g.out_edge_ids(v)):
             out.add(v)
-    return frozenset(out)
+    B = g._analysis.breaking[H] = frozenset(out)
+    return B

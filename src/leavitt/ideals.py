@@ -22,8 +22,10 @@ from .fields import QQ
 from .graphs import (
     Cycle,
     Graph,
+    _breaking_vertices,
     breaking_vertices,
     classify_cycle,
+    hereditary_saturated_closure,
     is_hereditary,
     is_saturated,
     root,
@@ -47,13 +49,15 @@ class AdmissiblePair:
 def admissible_pair(g: Graph, H, S=()) -> AdmissiblePair:
     H = g.check_vertices(H)
     S = g.check_vertices(S)
-    ok, witness = is_hereditary(g, H)
-    if not ok:
-        raise InputError(f"H not hereditary (witness {witness})")
-    ok, witness = is_saturated(g, H)
-    if not ok:
-        raise InputError(f"H not saturated (witness {witness})")
-    B = breaking_vertices(g, H)
+    B = g._analysis.breaking.get(H)
+    if B is None:
+        ok, witness = is_hereditary(g, H)
+        if not ok:
+            raise InputError(f"H not hereditary (witness {witness})")
+        ok, witness = is_saturated(g, H)
+        if not ok:
+            raise InputError(f"H not saturated (witness {witness})")
+        B = _breaking_vertices(g, H)
     if not S <= B:
         raise InputError(f"S must be a subset of B_H = {sorted(B)}")
     return AdmissiblePair(H, S)
@@ -70,21 +74,37 @@ def is_zero_pair(pair: AdmissiblePair) -> bool:
 def enumerate_admissible_pairs(g: Graph) -> list:
     """Every (H, S), each exactly once, in deterministic order.
 
-    Includes the zero pair and the improper pair H = E^0.
+    Includes the zero pair and the improper pair H = E^0.  The hereditary
+    saturated sets H are listed by Ganter's NextClosure over
+    ``hereditary_saturated_closure``, so the cost grows with the number of
+    such sets rather than with the 2^n vertex subsets.
     """
     pairs = []
-    verts = g.vertex_list
-    for r in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, r):
-            H = frozenset(combo)
-            if not is_hereditary(g, H)[0] or not is_saturated(g, H)[0]:
-                continue
-            B = sorted(breaking_vertices(g, H))
-            for k in range(len(B) + 1):
-                for s_combo in itertools.combinations(B, k):
-                    pairs.append(AdmissiblePair(H, frozenset(s_combo)))
+    H = hereditary_saturated_closure(g, ())
+    while H is not None:
+        B = sorted(_breaking_vertices(g, H))
+        for k in range(len(B) + 1):
+            for s_combo in itertools.combinations(B, k):
+                pairs.append(AdmissiblePair(H, frozenset(s_combo)))
+        H = _next_closed(g, H)
     pairs.sort(key=AdmissiblePair.sort_key)
     return pairs
+
+
+def _next_closed(g: Graph, H: frozenset) -> Optional[frozenset]:
+    """The hereditary saturated set after H in lectic order (None after the
+    last, E^0).  Vertices are ordered as in ``g.vertex_list``; the successor
+    is the closure of (H below v) + {v} for the largest v not in H whose
+    closure adds nothing below v."""
+    below = set(H)
+    for v in reversed(g.vertex_list):
+        if v in below:
+            below.discard(v)
+            continue
+        closed = hereditary_saturated_closure(g, below | {v})
+        if all(u in below for u in closed if u < v):
+            return closed
+    return None
 
 
 def ideal_generators(g: Graph, pair: AdmissiblePair, field=QQ) -> list:

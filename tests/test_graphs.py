@@ -17,6 +17,7 @@ from leavitt.graphs import (
     has_condition_L,
     has_icsp,
     hereditary_saturated_closure,
+    is_bundle_ref,
     is_downwards_directed,
     is_hereditary,
     is_saturated,
@@ -422,6 +423,47 @@ class TestAnalysisCache:
                 ]
                 want = (False, escapes[0]) if escapes else (True, None)
                 assert is_hereditary(g, V) == want
+                # is_saturated reports the first regular vertex it must absorb
+                absorbed = [
+                    v
+                    for v in g.vertex_list
+                    if v not in V
+                    and g.is_regular(v)
+                    and all(g.tgt(e) in V for e in g.out_edge_ids(v))
+                ]
+                want = (False, absorbed[0]) if absorbed else (True, None)
+                assert is_saturated(g, V) == want
+
+    def test_classify_cycle_matches_scans(self):
+        # Oracles: exclusivity by scanning every other cycle, extremeness by
+        # one forward search inside V from each vertex the cycle reaches.
+        def exclusive(c, cycles):
+            if any(is_bundle_ref(s) for s in c.steps):
+                return False
+            return not any(d != c and d.vertex_set & c.vertex_set for d in cycles)
+
+        def extreme(g, c, V):
+            if not any(g.tgt(ref) in V for ref in cycle_exits(g, c)):
+                return False, None
+            succ = lambda v: {u for u in g.successors(v) if u in V}
+            for w in sorted(_closure(succ, c.vertex_set)):
+                if not _closure(succ, [w]) & c.vertex_set:
+                    return False, w
+            return True, None
+
+        rng = random.Random(5)
+        cases = 0
+        for g in _oracle_graphs():
+            cycles = _enumerate_cycles(g, 1)
+            for c in enumerate_cycles(g, 2):
+                want_exclusive = exclusive(c, cycles)
+                some = c.vertex_set | {v for v in g.vertex_list if rng.random() < 0.5}
+                for V in (g.vertices, some):
+                    cls = classify_cycle(g, c, V)
+                    assert cls.exclusive == want_exclusive
+                    assert (cls.extreme_in_V, cls.escape) == extreme(g, c, V)
+                    cases += 1
+        assert cases > 1000, cases
 
     def test_closure_still_validates(self):
         g = Graph(G3.vertices, G3.edges, G3.bundles)

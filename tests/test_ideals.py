@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from leavitt import algebra as alg
 from leavitt import ideals as idl
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, random_graph
+from leavitt.classify import find_base_vertex
 from leavitt.errors import InputError
 from leavitt.graphs import (
     Graph,
@@ -12,12 +14,46 @@ from leavitt.graphs import (
     enumerate_cycles,
     enumerate_paths,
     is_downwards_directed,
+    is_hereditary,
+    is_saturated,
     root,
 )
 
 
 def pair(g, H, S=()):
     return idl.admissible_pair(g, H, S)
+
+
+def _subset_pairs(g):
+    """Oracle of the enumeration: test all 2^n vertex subsets."""
+    pairs = []
+    for r in range(len(g.vertex_list) + 1):
+        for combo in itertools.combinations(g.vertex_list, r):
+            H = frozenset(combo)
+            if not is_hereditary(g, H)[0] or not is_saturated(g, H)[0]:
+                continue
+            B = sorted(breaking_vertices(g, H))
+            for k in range(len(B) + 1):
+                for s_combo in itertools.combinations(B, k):
+                    pairs.append(idl.AdmissiblePair(H, frozenset(s_combo)))
+    pairs.sort(key=idl.AdmissiblePair.sort_key)
+    return pairs
+
+
+def _three_vertex_graphs():
+    """Every labeled graph on a, b, c with at most one edge per ordered pair
+    (loops included) and at most one bundle: 2^9 * 10 = 5,120 graphs."""
+    arcs = list(itertools.product("abc", repeat=2))
+    for mask in range(1 << len(arcs)):
+        edges = {f"e{s}{t}": (s, t) for i, (s, t) in enumerate(arcs) if mask >> i & 1}
+        for bundle in [None] + arcs:
+            yield Graph("abc", edges, {"y": bundle} if bundle else {})
+
+
+def _error(fn, *args):
+    with pytest.raises(InputError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestAdmissiblePairs:
@@ -45,12 +81,86 @@ class TestAdmissiblePairs:
         full = pair(G2, ["v", "w"])
         assert not idl.is_proper(G2, full)
 
+    def test_matches_subset_oracle_on_all_three_vertex_graphs(self):
+        count = 0
+        for g in _three_vertex_graphs():
+            assert idl.enumerate_admissible_pairs(g) == _subset_pairs(g)
+            count += 1
+        assert count == 5120
+
+    def test_matches_subset_oracle_random(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            g = random_graph(rng)
+            assert idl.enumerate_admissible_pairs(g) == _subset_pairs(g)
+
+    def test_long_looped_chain(self):
+        # x00 -> x01 -> ... -> x39, a loop at each: H is a final segment
+        vs = [f"x{i:02d}" for i in range(40)]
+        edges = {f"l{i:02d}": (vs[i], vs[i]) for i in range(40)}
+        edges.update({f"s{i:02d}": (vs[i], vs[i + 1]) for i in range(39)})
+        pairs = idl.enumerate_admissible_pairs(Graph(vs, edges))
+        assert len(pairs) == 41
+        assert {p.H for p in pairs} == {frozenset(vs[i:]) for i in range(41)}
+        assert not any(p.S for p in pairs)
+
     def test_no_duplicates_random(self):
         rng = random.Random(11)
         for _ in range(25):
             g = random_graph(rng)
             pairs = idl.enumerate_admissible_pairs(g)
             assert len(pairs) == len(set(pairs))
+
+
+class TestBreakingMemo:
+    """B_H is remembered per graph for each H known to be hereditary and
+    saturated; only a remembered H skips the two checks."""
+
+    def test_invalid_h_raises_after_enumeration(self):
+        g3 = Graph(G3.vertices, G3.edges, G3.bundles)
+        line = Graph(["a", "b"], edges={"x": ("a", "b")})
+        want = [
+            "H not hereditary (witness ('u', 'v'))",
+            "H is not hereditary (witness ('u', 'v'))",
+            "H not hereditary (witness ('u', 'v'))",
+            "H not saturated (witness a)",
+            "H is not saturated (witness a)",
+            "H not saturated (witness a)",
+        ]
+        for _ in range(2):  # on fresh graphs, then with every valid H remembered
+            assert [
+                _error(fn, g, H)
+                for g, H in ((g3, ["u"]), (line, ["b"]))
+                for fn in (idl.admissible_pair, breaking_vertices, find_base_vertex)
+            ] == want
+            idl.enumerate_admissible_pairs(g3)
+            idl.enumerate_admissible_pairs(line)
+
+    def test_s_outside_b_h_raises_on_a_hit(self):
+        g = Graph(G2.vertices, G2.edges, G2.bundles)
+        idl.enumerate_admissible_pairs(g)
+        assert frozenset(["w"]) in g._analysis.breaking
+        assert _error(pair, g, ["w"], ["w"]) == "S must be a subset of B_H = ['v']"
+        assert _error(pair, g, ["w"], ["nope"]) == "unknown vertex id(s): ['nope']"
+
+    def test_remembered_b_h_matches_definition(self):
+        # B_H: infinite emitters outside H with every bundle into H and some
+        # edge out of H, read off the graph without the memo.
+        def definition(g, H):
+            return {
+                v
+                for v in g.vertex_list
+                if v not in H
+                and g.out_bundle_ids(v)
+                and all(g.tgt((b, 0)) in H for b in g.out_bundle_ids(v))
+                and any(g.tgt(e) not in H for e in g.out_edge_ids(v))
+            }
+
+        rng = random.Random(47)
+        for g in [random_graph(rng) for _ in range(300)]:
+            for p in idl.enumerate_admissible_pairs(g):
+                assert breaking_vertices(g, p.H) == definition(g, p.H)
+                assert pair(g, p.H, p.S) == p
 
 
 class TestGenerators:
