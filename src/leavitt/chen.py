@@ -233,28 +233,19 @@ class NcModule:
 ModuleDescriptor = Union[VAlphaModule, SinkModule, InfEmitterModule, NcModule]
 
 
-def emitter_subtype(g: Graph, v: str, reading: str = "edge") -> str:
-    """Classify an infinite emitter by its returns into R(v).
-
-    The default ``edge`` reading counts edges from v back into R(v):
-    a bundle back in means ``infinite``, no edge back means ``empty``,
-    otherwise ``in_B_H``.  The stricter ``vertex`` reading counts target
-    vertices instead; on a finite graph it can never say ``infinite``,
-    which is why it is not the default.
-    """
+def emitter_subtype(g: Graph, v: str) -> str:
+    """Classify an infinite emitter by its edges back into R(v): a bundle
+    back in means ``infinite``, no edge back means ``empty``, otherwise
+    ``in_B_H``.  Edges, not target vertices, are counted, since a bundle's
+    infinitely many returns may all land on one vertex."""
     if not g.is_infinite_emitter(v):
         raise InputError(f"{v!r} is not an infinite emitter")
     R = root(g, [v])
-    if reading == "edge":
-        if any(g.tgt((b, 0)) in R for b in g.out_bundle_ids(v)):
-            return "infinite"
-        if any(g.tgt(e) in R for e in g.out_edge_ids(v)):
-            return "in_B_H"
-        return "empty"
-    if reading == "vertex":
-        targets = g.successors(v) & R
-        return "in_B_H" if targets else "empty"
-    raise InputError(f"unknown reading {reading!r}")
+    if any(g.tgt((b, 0)) in R for b in g.out_bundle_ids(v)):
+        return "infinite"
+    if any(g.tgt(e) in R for e in g.out_edge_ids(v)):
+        return "in_B_H"
+    return "empty"
 
 
 def return_edge_count(g: Graph, v: str) -> Optional[int]:
@@ -280,8 +271,8 @@ def sink_module(g: Graph, v: str) -> SinkModule:
     return SinkModule(v)
 
 
-def inf_emitter_module(g: Graph, v: str, reading: str = "edge") -> InfEmitterModule:
-    return InfEmitterModule(v, emitter_subtype(g, v, reading))
+def inf_emitter_module(g: Graph, v: str) -> InfEmitterModule:
+    return InfEmitterModule(v, emitter_subtype(g, v))
 
 
 def valpha_module(g: Graph, tail) -> VAlphaModule:

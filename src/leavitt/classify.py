@@ -52,7 +52,6 @@ from .ideals import (
     NonGradedPrimitiveIdeal,
     admissible_pair,
     is_proper,
-    quotient_graph,
     validate_descriptor,
 )
 
@@ -140,10 +139,17 @@ class GradedPrimitiveCase:
 @dataclass(frozen=True)
 class ClassificationRecord:
     pair: AdmissiblePair
-    graded_prime: bool
     case: GradedPrimitiveCase
     graded_primitive: bool
     primitive: bool
+
+    @property
+    def graded_prime(self) -> bool:
+        """Graded primitive means a downwards directed complement plus
+        countable separation, which always holds on a finite graph: that is
+        Rangaswamy's graded-prime criterion (J. Algebra 375, 2013).  The
+        quotient route is the oracle in the verification suite and tests."""
+        return self.graded_primitive
 
 
 def _s_form(g: Graph, pair: AdmissiblePair) -> Optional[SForm]:
@@ -218,16 +224,14 @@ def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
 def classify_graded_ideal(g: Graph, pair: AdmissiblePair) -> ClassificationRecord:
     """Full classification of a proper admissible pair.
 
-    graded_prime: quotient vertex set downwards directed.
-    graded_primitive: both routes, asserted to agree.
+    graded_primitive: both routes, asserted to agree; graded_prime is the
+    same value on finite graphs (see ClassificationRecord.graded_prime).
     primitive: graded primitive and not the exclusive-cycle case with S = B_H.
+    No quotient graph is built.
     """
     pair = admissible_pair(g, pair.H, pair.S)
     if not is_proper(g, pair):
         raise InputError("improper pair (H is the whole vertex set)")
-
-    qg = quotient_graph(g, pair)
-    graded_prime = is_downwards_directed(qg.graph, qg.graph.vertices)[0]
 
     by_condition, reason = evaluate_by_condition(g, pair)
     case = evaluate_by_cases(g, pair)
@@ -242,9 +246,7 @@ def classify_graded_ideal(g: Graph, pair: AdmissiblePair) -> ClassificationRecor
     primitive = case.graded_primitive and not (
         case.case == "3d" and case.s_form.kind == "full"
     )
-    return ClassificationRecord(
-        pair, graded_prime, case, case.graded_primitive, primitive
-    )
+    return ClassificationRecord(pair, case, case.graded_primitive, primitive)
 
 
 def is_graded_primitive_algebra(g: Graph) -> bool:
@@ -284,12 +286,12 @@ class ChenWitness:
     case: GradedPrimitiveCase
 
 
-def chen_witness(g: Graph, pair: AdmissiblePair) -> ChenWitness:
-    """Emit the witness module for a graded primitive pair and verify its
-    annihilator is exactly the pair."""
-    record = classify_graded_ideal(g, pair)
+def chen_witness(g: Graph, record: ClassificationRecord) -> ChenWitness:
+    """Emit the witness module for the pair of a graded primitive record
+    (as classify_graded_ideal returns it) and verify its annihilator is
+    exactly the pair."""
     if not record.graded_primitive:
-        raise InputError(f"{pair.label()} is not graded primitive")
+        raise InputError(f"{record.pair.label()} is not graded primitive")
     case = record.case
 
     if case.case == "3b":

@@ -8,6 +8,7 @@ stable one-record-per-line text, or as JSON with --json.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,7 +195,7 @@ def _classification_record(g, pair) -> dict:
         out["base_vertex"] = case.v
         out["cycle"] = str(case.cycle) if case.cycle else None
         out["S_form"] = case.s_form.label()
-        witness = cls.chen_witness(g, pair)
+        witness = cls.chen_witness(g, record)
         out["chen_witness"] = {"kind": witness.kind, "module": witness.descriptor.label()}
     else:
         out["reason"] = case.reason
@@ -354,7 +355,10 @@ def cmd_emit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by every
+    main call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Leavitt path algebra toolkit: ideals, classification, modules",
@@ -413,8 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WindowOverflow as exc:

@@ -293,6 +293,8 @@ class Cycle:
         if v not in self.sources:
             raise InputError(f"{v!r} is not on the cycle")
         i = self.sources.index(v)
+        if i == 0:
+            return self
         verts = self.path.vertices
         rotated = Path(
             verts[i:-1] + verts[: i + 1], self.steps[i:] + self.steps[:i]
@@ -353,19 +355,10 @@ def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
 
 
 def check_cycle(g: Graph, c: Cycle) -> Cycle:
-    """Validate that a Cycle value is an actual cycle of g."""
-    _closed_ok(g, c)
+    """Validate that a Cycle value is an actual cycle of g; returns c as
+    given (not rotated)."""
+    make_cycle(g, c.path.start, c.steps)
     return c
-
-
-def _closed_ok(g: Graph, c: Cycle) -> bool:
-    p = make_path(g, c.path.start, c.steps)
-    if p.start != p.end or p.is_vertex:
-        raise InputError("not a cycle of this graph")
-    sources = p.vertices[:-1]
-    if len(set(sources)) != len(sources):
-        raise InputError("not a simple cycle")
-    return True
 
 
 @dataclass(frozen=True)
@@ -640,7 +633,7 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     independent flag and the fallback kind.
     """
     V = g.check_vertices(V)
-    _closed_ok(g, c)
+    check_cycle(g, c)
     if not c.vertex_set <= V:
         raise InputError("cycle vertices must lie inside V")
     if any(is_bundle_ref(s) for s in c.steps):

@@ -327,13 +327,15 @@ def classification_suite(
                 agree, agree_detail = False, f"{name} {pair.label()}: {exc}"
                 continue
             if record.graded_primitive:
-                if not record.graded_prime:
-                    implication, implication_detail = False, f"{name} {pair.label()}"
+                # The quotient route is the oracle of graded primality, which
+                # the record reads off graded primitivity.
                 qg = idl.quotient_graph(g, pair)
+                if not is_downwards_directed(qg.graph, qg.graph.vertices)[0]:
+                    implication, implication_detail = False, f"{name} {pair.label()}"
                 if record.primitive != has_condition_L(qg.graph, qg.graph.vertices)[0]:
                     cond_l, cond_l_detail = False, f"{name} {pair.label()}"
                 try:
-                    w = cls.chen_witness(g, pair)
+                    w = cls.chen_witness(g, record)
                 except InternalCheckError as exc:
                     witness_ok, witness_detail = False, f"{name} {pair.label()}: {exc}"
                 else:

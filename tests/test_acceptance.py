@@ -17,6 +17,7 @@ from leavitt.graphs import (
     breaking_vertices,
     enumerate_cycles,
     has_condition_L,
+    is_downwards_directed,
     vertex_path,
 )
 from leavitt.verification import (
@@ -56,8 +57,8 @@ def test_criterion_1_pinned_classifications():
 
 def test_criterion_2_oracle_equivalence():
     """Condition-(2) and case-(3) routes agree pair-for-pair over the catalog
-    and 200 random graphs; graded primitive => graded prime; primitive <=>
-    quotient Condition (L)."""
+    and 200 random graphs; graded prime <=> quotient downwards directed;
+    primitive <=> quotient Condition (L)."""
     rng = random.Random(2026)
     graphs = list(CATALOG.values())
     graphs += [random_graph(rng, 6, 10, 2) for _ in range(200)]
@@ -75,9 +76,11 @@ def test_criterion_2_oracle_equivalence():
                 pair.label(),
             )
             record = cls.classify_graded_ideal(g, pair)  # re-asserts agreement
+            qg = idl.quotient_graph(g, pair)
+            assert record.graded_prime == is_downwards_directed(
+                qg.graph, qg.graph.vertices
+            )[0]
             if record.graded_primitive:
-                assert record.graded_prime
-                qg = idl.quotient_graph(g, pair)
                 cond_l = has_condition_L(qg.graph, qg.graph.vertices)[0]
                 assert record.primitive == cond_l
     assert pairs_checked >= 200
@@ -206,7 +209,7 @@ def test_criterion_8_chen_witness_closure():
             record = cls.classify_graded_ideal(g, pair)
             if not record.graded_primitive:
                 continue
-            witness = cls.chen_witness(g, pair)
+            witness = cls.chen_witness(g, record)
             count += 1
             assert chen.annihilator(g, witness.descriptor) == idl.GradedIdeal(pair)
             assert witness.kind == WITNESS_KIND[record.case.case]

@@ -108,11 +108,6 @@ class TestDescriptors:
         g = Graph(["a", "b"], bundles={"b0": ("a", "b")})
         assert chen.inf_emitter_module(g, "a").subtype == "empty"
 
-    def test_vertex_reading_never_infinite(self):
-        # the stricter reading cannot see the infinitely many returns of G4
-        assert chen.emitter_subtype(G4, "v", "vertex") == "in_B_H"
-        assert chen.emitter_subtype(G4, "v", "edge") == "infinite"
-
     def test_subtype_matches_breaking_membership(self):
         from leavitt.graphs import breaking_vertices
 

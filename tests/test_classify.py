@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,12 +7,22 @@ from leavitt import chen
 from leavitt import classify as cls
 from leavitt import ideals as idl
 from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
-from leavitt.errors import InputError
-from leavitt.graphs import Graph, enumerate_cycles, has_condition_L, root
+from leavitt.errors import InputError, InternalCheckError
+from leavitt.graphs import (
+    Graph,
+    enumerate_cycles,
+    has_condition_L,
+    is_downwards_directed,
+    root,
+)
 
 
 def pair(g, H, S=()):
     return idl.admissible_pair(g, H, S)
+
+
+def witness(g, p):
+    return cls.chen_witness(g, cls.classify_graded_ideal(g, p))
 
 
 class TestFindBaseVertex:
@@ -139,9 +150,12 @@ class TestOracleEquivalence:
                 # classify_graded_ideal raises InternalCheckError on any
                 # disagreement between the two routes
                 r = cls.classify_graded_ideal(g, p)
+                # graded prime, read off the quotient graph, in both directions
+                qg = idl.quotient_graph(g, p)
+                assert r.graded_prime == is_downwards_directed(
+                    qg.graph, qg.graph.vertices
+                )[0]
                 if r.graded_primitive:
-                    assert r.graded_prime
-                    qg = idl.quotient_graph(g, p)
                     assert r.primitive == has_condition_L(
                         qg.graph, qg.graph.vertices
                     )[0]
@@ -149,19 +163,19 @@ class TestOracleEquivalence:
 
 class TestChenWitness:
     def test_g2_full(self):
-        w = cls.chen_witness(G2, pair(G2, ["w"], ["v"]))
+        w = witness(G2, pair(G2, ["w"], ["v"]))
         assert w.kind == "exclusive_cycle"
         assert isinstance(w.descriptor, chen.NcModule)
         assert w.descriptor.v == "v"
 
     def test_g2_minus(self):
-        w = cls.chen_witness(G2, pair(G2, ["w"]))
+        w = witness(G2, pair(G2, ["w"]))
         assert w.kind == "exclusive_cycle"
         assert isinstance(w.descriptor, chen.InfEmitterModule)
         assert w.descriptor.subtype == "in_B_H"
 
     def test_g5_irrational(self):
-        w = cls.chen_witness(G5, pair(G5, []))
+        w = witness(G5, pair(G5, []))
         assert w.kind == "extreme_cycle"
         assert isinstance(w.descriptor, chen.VAlphaModule)
         rule = w.descriptor.tail
@@ -170,20 +184,28 @@ class TestChenWitness:
         ]
 
     def test_g2_sink_witness(self):
-        w = cls.chen_witness(G2, pair(G2, []))
+        w = witness(G2, pair(G2, []))
         assert w.kind == "relative_sink"
         assert isinstance(w.descriptor, chen.SinkModule)
 
     def test_emitter_relative_sink_witness(self):
         g = Graph(["a", "b"], bundles={"b0": ("a", "b")})
-        w = cls.chen_witness(g, idl.admissible_pair(g, ["b"]))
+        w = witness(g, idl.admissible_pair(g, ["b"]))
         assert w.kind == "relative_sink"
         assert isinstance(w.descriptor, chen.InfEmitterModule)
         assert w.descriptor.subtype == "empty"
 
     def test_rejects_non_primitive(self):
         with pytest.raises(InputError):
-            cls.chen_witness(G3, pair(G3, ["w"]))
+            witness(G3, pair(G3, ["w"]))
+
+    def test_rejects_record_of_another_pair(self):
+        # The witness is checked against the record's pair, so a record
+        # whose case belongs to another pair fails.
+        r = cls.classify_graded_ideal(G2, pair(G2, ["w"], ["v"]))
+        wrong = dataclasses.replace(r, pair=pair(G2, ["w"]))
+        with pytest.raises(InternalCheckError):
+            cls.chen_witness(G2, wrong)
 
     def test_minus_form_shares_emitted_cycle(self):
         rng = random.Random(41)
@@ -212,7 +234,7 @@ class TestChenWitness:
                 r = cls.classify_graded_ideal(g, p)
                 if not r.graded_primitive:
                     continue
-                w = cls.chen_witness(g, p)  # asserts ann(witness) == pair
+                w = cls.chen_witness(g, r)  # asserts ann(witness) == pair
                 seen_kinds.add(w.kind)
                 assert chen.annihilator(g, w.descriptor) == idl.GradedIdeal(p)
         assert seen_kinds == {"relative_sink", "extreme_cycle", "exclusive_cycle"}
@@ -233,7 +255,7 @@ class TestChenWitness:
         p = idl.admissible_pair(g, ["h"])  # S = B_H - {u}
         r = cls.classify_graded_ideal(g, p)
         assert r.graded_primitive and r.case.case == "3c"
-        w = cls.chen_witness(g, p)
+        w = cls.chen_witness(g, r)
         assert w.kind == "extreme_cycle"
         assert isinstance(w.descriptor, chen.InfEmitterModule)
         assert chen.return_edge_count(g, "u") == 1

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leavitt import classify as cls
 from leavitt import cli
+from leavitt.branching import Truncation
 from leavitt.catalog import CATALOG, G2, G3
 from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
@@ -194,6 +196,35 @@ class TestCommands:
         assert records["({w},{})"]["primitive"] is True
         assert records["({},{})"]["primitive"] is True
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_classify_all_once_per_record_without_quotients(
+        self, capsys, monkeypatch, tmp_path, name
+    ):
+        # chen_witness takes the record, so each pair is classified once,
+        # and graded primality needs no quotient graph.
+        path = tmp_path / f"{name}.graph"
+        path.write_text(emit_graph(CATALOG[name]))
+        docs, calls = [], []
+        parse, classify = cli.parse_graph_document, cls.classify_graded_ideal
+
+        def parsed(text):
+            docs.append(parse(text))
+            return docs[-1]
+
+        def counted(g, pair):
+            calls.append(pair)
+            return classify(g, pair)
+
+        monkeypatch.setattr(cli, "parse_graph_document", parsed)
+        monkeypatch.setattr(cls, "classify_graded_ideal", counted)
+        code, out, _ = run_cli(capsys, "--json", "classify", str(path), "--all")
+        assert code == 0
+        assert len(calls) == len(json.loads(out)["records"]) > 0
+        assert docs[0].graph._analysis.quotients == {}
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     def test_classify_named_pair(self, capsys, g2_file):
         code, out, _ = run_cli(capsys, "classify", g2_file, "--pair", "full")
         assert code == 0
@@ -372,6 +403,47 @@ class TestVerifyCommand:
     def test_needs_target(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
+
+    def test_check_names_pinned(self):
+        # The benchmark's verify ops digest these names, so a renamed, added
+        # or dropped check changes every one of them.
+        results = verification.run_suites(
+            seed=3, window=Truncation(4, 2), random_graphs=5
+        )
+        assert [r.name for r in results] == [
+            "root is a closure operator",
+            "complement of a root is hereditary (saturated given returns)",
+            "exclusive cycles have one cycle edge per vertex",
+            "breaking vertices are emitters outside H",
+            "icsp holds with witness C = V on finite graphs",
+            "multiplication is associative",
+            "multiplication distributes over addition",
+            "star is an anti-multiplicative involution",
+            "degrees add under multiplication",
+            "normal form is idempotent on built elements",
+            "finite vertex sums are local units",
+            "single-loop degree-0 corner is spanned by the vertex",
+            "generators lie in their ideal; outside vertices do not",
+            "quotient vertex counts match the construction",
+            "quotient downward-directedness matches the finite criterion",
+            "membership is closed under the ideal operations",
+            "direct condition and case analysis agree (39 pairs)",
+            "graded primitive implies graded prime",
+            "primitivity matches Condition (L) on the quotient",
+            "the emitted case is unique",
+            "base vertices have the complement as root",
+            "every graded-primitive pair has a matching module witness",
+            "cyclic modules pass all axioms, perfect, saturated, graded",
+            "reduction is idempotent and degree-preserving",
+            "ghost-action and prepend-reduction identities hold",
+            "annihilator generators annihilate the window",
+            "vertices outside H act nontrivially somewhere",
+            "the unreduced pair system fails exactly axiom (4) at the vertex",
+            "generator recovery succeeds on random homogeneous vectors",
+            "basepoint systems partition the union system",
+            "emitter subtype matches breaking-vertex membership",
+        ]
+        assert all(r.passed for r in results)
 
     def test_detail_only_on_failure(self):
         # A passing check never prints a witness (a sibling's failure).
