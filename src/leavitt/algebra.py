@@ -23,6 +23,7 @@ from .fields import QQ
 from .graphs import (
     Graph,
     Path,
+    _edge_path,
     enumerate_paths,
     exitless_cycle_vertices,
     make_path,
@@ -232,19 +233,25 @@ def monomial(g: Graph, p: Path, q: Path, coeff=None, field=QQ) -> AlgebraElement
     k = field.one if coeff is None else field.coerce(coeff)
     return AlgebraElement(g, field, {Monomial(p, q): k})
 
+
+def _unit(g: Graph, p: Path, q: Path, field) -> AlgebraElement:
+    """p.q* for checked paths, in normal form like v v*, e r(e)*, r(e) e*."""
+    return AlgebraElement(g, field, {Monomial(p, q): field.one}, _normalized=True)
+
+
 def vertex(g: Graph, v: str, field=QQ) -> AlgebraElement:
-    p = vertex_path(v)
-    return monomial(g, p, p, field=field)
+    g.check_vertices([v])
+    return _unit(g, vertex_path(v), vertex_path(v), field)
 
 
 def edge(g: Graph, ref, field=QQ) -> AlgebraElement:
-    p = make_path(g, g.src(ref), [ref])
-    return monomial(g, p, vertex_path(p.end), field=field)
+    p = _edge_path(g, ref)
+    return _unit(g, p, vertex_path(p.end), field)
 
 
 def ghost(g: Graph, ref, field=QQ) -> AlgebraElement:
-    q = make_path(g, g.src(ref), [ref])
-    return monomial(g, vertex_path(q.end), q, field=field)
+    q = _edge_path(g, ref)
+    return _unit(g, vertex_path(q.end), q, field)
 
 
 def path_element(g: Graph, p: Path, field=QQ) -> AlgebraElement:

@@ -24,12 +24,13 @@ from .graphs import (
     Graph,
     Path,
     RationalTailSpec,
+    _classify_cycle,
+    _edge_path,
     breaking_vertices,
     check_cycle,
     classify_cycle,
     enumerate_paths,
     is_bundle_ref,
-    make_path,
     rational_tail,
     ref_str,
     root,
@@ -169,16 +170,6 @@ def irrational_rule(g: Graph, c: Cycle, d: Cycle) -> IrrationalRule:
     return IrrationalRule(c.rotate_to(pivot), d.rotate_to(pivot))
 
 
-def _validate_rule(g: Graph, rule: IrrationalRule) -> IrrationalRule:
-    check_cycle(g, rule.c)
-    check_cycle(g, rule.d)
-    if rule.c.base != rule.d.base:
-        raise InputError("rule cycles must be rotated to a shared pivot")
-    if rule.c == rule.d:
-        raise InputError("the two cycles must be distinct")
-    return rule
-
-
 # ---------------------------------------------------------------------------
 # Module descriptors
 # ---------------------------------------------------------------------------
@@ -240,12 +231,8 @@ def emitter_subtype(g: Graph, v: str) -> str:
     infinitely many returns may all land on one vertex."""
     if not g.is_infinite_emitter(v):
         raise InputError(f"{v!r} is not an infinite emitter")
-    R = root(g, [v])
-    if any(g.tgt((b, 0)) in R for b in g.out_bundle_ids(v)):
-        return "infinite"
-    if any(g.tgt(e) in R for e in g.out_edge_ids(v)):
-        return "in_B_H"
-    return "empty"
+    returns = return_edge_count(g, v)
+    return "infinite" if returns is None else "in_B_H" if returns else "empty"
 
 
 def return_edge_count(g: Graph, v: str) -> Optional[int]:
@@ -276,14 +263,17 @@ def inf_emitter_module(g: Graph, v: str) -> InfEmitterModule:
 
 
 def valpha_module(g: Graph, tail) -> VAlphaModule:
+    """A tail spec is valid when its constructor returns it unchanged."""
     if isinstance(tail, RationalTailSpec):
-        canon = rational_tail(g, tail.prefix, tail.cycle)
-        if canon != tail:
-            raise InputError("rational tail spec is not in canonical form")
-        return VAlphaModule(canon)
-    if isinstance(tail, IrrationalRule):
-        return VAlphaModule(_validate_rule(g, tail))
-    raise InputError(f"not a tail spec: {tail!r}")
+        canon = rational_tail(g, tail.prefix, check_cycle(g, tail.cycle))
+        kind = "rational tail spec"
+    elif isinstance(tail, IrrationalRule):
+        kind, canon = "irrational rule", irrational_rule(g, tail.c, tail.d)
+    else:
+        raise InputError(f"not a tail spec: {tail!r}")
+    if canon != tail:
+        raise InputError(f"{kind} is not in canonical form")
+    return VAlphaModule(canon)
 
 
 def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
@@ -307,6 +297,13 @@ def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
 # ---------------------------------------------------------------------------
 # Branching systems per family
 # ---------------------------------------------------------------------------
+
+
+def _fits(p: Path, t: Truncation) -> bool:
+    """The window's test of one path: its length, and its bundle indices."""
+    return len(p) <= t.max_path_length and all(
+        not is_bundle_ref(s) or s[1] < t.bundle_sample for s in p.steps
+    )
 
 
 def _paths_by_end(g: Graph, t: Truncation, ends) -> dict:
@@ -344,11 +341,7 @@ class NcBranchingSystem(BranchingSystem):
             yield ReducedPair(p, q)
 
     def in_window(self, x: ReducedPair, t: Truncation) -> bool:
-        if len(x.p) > t.max_path_length or len(x.q) > t.max_path_length:
-            return False
-        return all(
-            not is_bundle_ref(s) or s[1] < t.bundle_sample for s in x.p.steps
-        )
+        return len(x.q) <= t.max_path_length and _fits(x.p, t)
 
     def member_vertex(self, x: ReducedPair, v: str) -> bool:
         return x.p.start == v
@@ -359,8 +352,7 @@ class NcBranchingSystem(BranchingSystem):
         return bool(x.p.steps) and x.p.steps[0] == ref
 
     def sigma(self, ref, x: ReducedPair) -> ReducedPair:
-        e_path = make_path(self.graph, self.graph.src(ref), [ref])
-        return self.red(e_path.concat(x.p), x.q)
+        return self.red(_edge_path(self.graph, ref).concat(x.p), x.q)
 
     def sigma_inv(self, ref, x: ReducedPair) -> ReducedPair:
         if x.p.steps:
@@ -370,8 +362,8 @@ class NcBranchingSystem(BranchingSystem):
         # pure ghost q*: only the cycle edge at r(q) acts, growing the ghost
         if ref not in self._cycle_edges or self.graph.src(ref) != x.q.end:
             raise InputError("element is not in this edge fiber")
-        step = make_path(self.graph, self.graph.src(ref), [ref])
-        return ReducedPair(vertex_path(self.graph.tgt(ref)), x.q.concat(step))
+        step = _edge_path(self.graph, ref)
+        return ReducedPair(vertex_path(step.end), x.q.concat(step))
 
     def degree(self, x: ReducedPair) -> int:
         return x.degree
@@ -392,9 +384,7 @@ class PathEndingSystem(BranchingSystem):
         )
 
     def in_window(self, x: Path, t: Truncation) -> bool:
-        if len(x) > t.max_path_length:
-            return False
-        return all(not is_bundle_ref(s) or s[1] < t.bundle_sample for s in x.steps)
+        return _fits(x, t)
 
     def member_vertex(self, x: Path, v: str) -> bool:
         return x.start == v
@@ -403,7 +393,7 @@ class PathEndingSystem(BranchingSystem):
         return bool(x.steps) and x.steps[0] == ref
 
     def sigma(self, ref, x: Path) -> Path:
-        return Path((self.graph.src(ref),) + x.vertices, (ref,) + x.steps)
+        return _edge_path(self.graph, ref).concat(x)
 
     def sigma_inv(self, ref, x: Path) -> Path:
         if not x.steps or x.steps[0] != ref:
@@ -437,11 +427,7 @@ class RationalTailSystem(BranchingSystem):
                 yield RationalTailSpec(p, cyc_w)
 
     def in_window(self, x: RationalTailSpec, t: Truncation) -> bool:
-        if len(x.prefix) > t.max_path_length:
-            return False
-        return all(
-            not is_bundle_ref(s) or s[1] < t.bundle_sample for s in x.prefix.steps
-        )
+        return _fits(x.prefix, t)
 
     def member_vertex(self, x: RationalTailSpec, v: str) -> bool:
         return x.prefix.start == v
@@ -450,7 +436,7 @@ class RationalTailSystem(BranchingSystem):
         return x.first_edge() == ref
 
     def sigma(self, ref, x: RationalTailSpec) -> RationalTailSpec:
-        step = make_path(self.graph, self.graph.src(ref), [ref])
+        step = _edge_path(self.graph, ref)
         return rational_tail(self.graph, step.concat(x.prefix), x.cycle)
 
     def sigma_inv(self, ref, x: RationalTailSpec) -> RationalTailSpec:
@@ -498,11 +484,7 @@ class IrrationalTailSystem(BranchingSystem):
                 yield TailElement(q, m)
 
     def in_window(self, x: TailElement, t: Truncation) -> bool:
-        if len(x.q) > t.max_path_length or x.m > t.max_path_length:
-            return False
-        return all(
-            not is_bundle_ref(s) or s[1] < t.bundle_sample for s in x.q.steps
-        )
+        return x.m <= t.max_path_length and _fits(x.q, t)
 
     def member_vertex(self, x: TailElement, v: str) -> bool:
         return x.q.start == v
@@ -513,8 +495,7 @@ class IrrationalTailSystem(BranchingSystem):
         return self.rule.edge_at(x.m + 1) == ref
 
     def sigma(self, ref, x: TailElement) -> TailElement:
-        step = make_path(self.graph, self.graph.src(ref), [ref])
-        return self._canonical(step.concat(x.q), x.m)
+        return self._canonical(_edge_path(self.graph, ref).concat(x.q), x.m)
 
     def sigma_inv(self, ref, x: TailElement) -> TailElement:
         if not self.member_edge(x, ref):
@@ -559,11 +540,7 @@ class NaivePairSystem(BranchingSystem):
                 yield NaivePair(p, q)
 
     def in_window(self, x: NaivePair, t: Truncation) -> bool:
-        ok = len(x.p) <= t.max_path_length and len(x.q) <= t.max_path_length
-        return ok and all(
-            not is_bundle_ref(s) or s[1] < t.bundle_sample
-            for s in x.p.steps + x.q.steps
-        )
+        return _fits(x.p, t) and _fits(x.q, t)
 
     def member_vertex(self, x: NaivePair, v: str) -> bool:
         return x.p.start == v
@@ -572,9 +549,7 @@ class NaivePairSystem(BranchingSystem):
         return bool(x.p.steps) and x.p.steps[0] == ref
 
     def sigma(self, ref, x: NaivePair) -> NaivePair:
-        return NaivePair(
-            Path((self.graph.src(ref),) + x.p.vertices, (ref,) + x.p.steps), x.q
-        )
+        return NaivePair(_edge_path(self.graph, ref).concat(x.p), x.q)
 
     def sigma_inv(self, ref, x: NaivePair) -> NaivePair:
         if not self.member_edge(x, ref):
@@ -592,11 +567,9 @@ def build_module(g: Graph, d: ModuleDescriptor) -> BranchingSystem:
         return NcBranchingSystem(g, d.cycle, d.v)
     if isinstance(d, (SinkModule, InfEmitterModule)):
         return PathEndingSystem(g, d.v)
-    if isinstance(d, VAlphaModule):
-        if d.rational:
-            return RationalTailSystem(g, d.tail)
-        return IrrationalTailSystem(g, d.tail)
-    raise InputError(f"not a module descriptor: {d!r}")
+    if d.rational:  # validate_module admits no other kind than VAlphaModule
+        return RationalTailSystem(g, d.tail)
+    return IrrationalTailSystem(g, d.tail)
 
 
 # ---------------------------------------------------------------------------
@@ -606,31 +579,29 @@ def build_module(g: Graph, d: ModuleDescriptor) -> BranchingSystem:
 
 def annihilator(g: Graph, d: ModuleDescriptor):
     """The exact annihilator as an ideal descriptor (no truncation involved)."""
-    d = validate_module(g, d)
+    return _annihilator(g, validate_module(g, d))
+
+
+def _annihilator(g: Graph, d: ModuleDescriptor):
+    """annihilator for a descriptor that is valid on g."""
     if isinstance(d, NcModule):
-        H = g.vertices - root(g, d.cycle.vertex_set)
-        return GradedIdeal(admissible_pair(g, H, breaking_vertices(g, H)))
-    if isinstance(d, SinkModule):
-        H = g.vertices - root(g, [d.v])
-        return GradedIdeal(admissible_pair(g, H, breaking_vertices(g, H)))
-    if isinstance(d, InfEmitterModule):
-        H = g.vertices - root(g, [d.v])
-        B = breaking_vertices(g, H)
-        if d.subtype == "in_B_H":
-            return GradedIdeal(admissible_pair(g, H, B - {d.v}))
-        return GradedIdeal(admissible_pair(g, H, B))
-    if isinstance(d, VAlphaModule):
-        H = g.vertices - root(g, d.vertex_support)
-        B = breaking_vertices(g, H)
-        if d.rational:
-            cyc = d.tail.cycle
-            if classify_cycle(g, cyc, g.vertices).exclusive:
-                # ann = I(H, B_H) + <c - v>
-                return NonGradedPrimitiveIdeal(
-                    admissible_pair(g, H, B), cyc.canonical(), laurent({0: -1, 1: 1})
-                )
-        return GradedIdeal(admissible_pair(g, H, B))
-    raise InputError(f"not a module descriptor: {d!r}")
+        support = d.cycle.vertex_set
+    elif isinstance(d, VAlphaModule):
+        support = d.vertex_support
+    else:  # a sink or an infinite emitter
+        support = [d.v]
+    H = g.vertices - root(g, support)
+    B = breaking_vertices(g, H)
+    if isinstance(d, InfEmitterModule) and d.subtype == "in_B_H":
+        return GradedIdeal(admissible_pair(g, H, B - {d.v}))
+    if isinstance(d, VAlphaModule) and d.rational:
+        cyc = d.tail.cycle
+        if _classify_cycle(g, cyc, g.vertices).exclusive:
+            # ann = I(H, B_H) + <c - v>
+            return NonGradedPrimitiveIdeal(
+                admissible_pair(g, H, B), cyc.canonical(), laurent({0: -1, 1: 1})
+            )
+    return GradedIdeal(admissible_pair(g, H, B))
 
 
 def annihilator_generators(g: Graph, d: ModuleDescriptor, field=QQ, ideal=None) -> list:
@@ -673,19 +644,30 @@ def _first_touch_split(cycle_vertices: frozenset, p: Path):
     raise InternalCheckError("basis path never touches the cycle")
 
 
+def _nc_system(g: Graph, d: NcModule) -> NcBranchingSystem:
+    """The validated system of an N_c descriptor, and of no other kind."""
+    if not isinstance(d, NcModule):
+        raise InputError(f"not an N_c module descriptor: {d!r}")
+    return build_module(g, d)
+
+
 def homogeneous_decompose(g: Graph, d: NcModule, a: ModuleVector) -> list:
     """Partition the support of a homogeneous vector by off-cycle prefix.
 
     Within a homogeneous vector all support elements sharing a prefix
     collapse to a single k * t . d term; the blocks come back sorted by
     prefix."""
-    d = validate_module(g, d)
-    sys = build_module(g, d)
+    sys = _nc_system(g, d)
     if not a.is_homogeneous(sys):
         raise InputError("vector is not homogeneous")
+    return _blocks(sys, a)
+
+
+def _blocks(sys: NcBranchingSystem, a: ModuleVector) -> list:
+    """homogeneous_decompose for a homogeneous vector of the system."""
     groups: dict = {}
     for x, k in a.terms.items():
-        t, c_part = _first_touch_split(d.cycle.vertex_set, x.p)
+        t, c_part = _first_touch_split(sys.cycle.vertex_set, x.p)
         groups.setdefault(t, []).append((k, c_part, x))
     blocks = []
     for t in sorted(groups, key=lambda p: (len(p), str(p))):
@@ -695,7 +677,7 @@ def homogeneous_decompose(g: Graph, d: NcModule, a: ModuleVector) -> list:
                 "distinct same-prefix basis elements in a homogeneous vector"
             )
         k, c_part, x = entries[0]
-        collapsed = red(g, d.cycle, d.v, c_part, x.q)
+        collapsed = sys.red(c_part, x.q)
         blocks.append(Block(k, t, c_part, x.q, collapsed, x))
     return blocks
 
@@ -717,8 +699,7 @@ def recover_generator(
     For nonzero homogeneous a with support block k * red(p q*), the element
     (1/k) q p* sends a to the basis vertex; this is the executable content
     of graded simplicity."""
-    d = validate_module(g, d)
-    sys = build_module(g, d)
+    sys = _nc_system(g, d)
     if a.is_zero:
         raise InputError("vector is zero")
     if not a.is_homogeneous(sys):
@@ -726,15 +707,12 @@ def recover_generator(
     for x in a.terms:
         if not sys.in_window(x, t):
             raise InputError(f"support element {x} is outside the window")
-    blocks = homogeneous_decompose(g, d, a)
-    j, block = 0, blocks[0]
+    j, block = 0, _blocks(sys, a)[0]
     p_j = block.t.concat(block.c_part)
     q_j = block.q
     carrier = alg.monomial(g, q_j, p_j, field=a.field).scale(1 / block.k)
     result = act(sys, carrier, a, t)
-    target = ModuleVector.unit(
-        ReducedPair(vertex_path(d.v), vertex_path(d.v)), a.field
-    )
+    target = ModuleVector.unit(sys.basis_vertex(), a.field)
     if result != target:
         raise InternalCheckError(
             f"generator recovery failed: got {result}, wanted {target}"
@@ -919,12 +897,11 @@ def _windowed_pairs(g: Graph, d: NcModule, t: Truncation):
 def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> IdentityReport:
     """Check p* . red(p q*) = q* for cycle-rooted p, and the prepend identity
     red(e . red(p q*)) = red(e p q*), exhaustively over the window."""
-    d = validate_module(g, d)
-    sys = build_module(g, d)
+    sys = _nc_system(g, d)
     report = IdentityReport()
-    cycle_vs = d.cycle.vertex_set
-    for p, q in _windowed_pairs(g, d, t):
-        x = red(g, d.cycle, d.v, p, q)
+    cycle_vs = sys.cycle.vertex_set
+    for p, q in _windowed_pairs(g, NcModule(sys.cycle, sys.v), t):
+        x = sys.red(p, q)
         if p.start in cycle_vs:
             ghost = alg.monomial(g, vertex_path(p.end), p, field=field)
             got = act(sys, ghost, ModuleVector.unit(x, field), t)
@@ -933,9 +910,9 @@ def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> Identi
             if got != want:
                 report.failures.append(("ghost_action", p, q, got))
         for e in g.in_refs(p.start, t.bundle_sample):
-            step = make_path(g, g.src(e), [e])
-            lhs = red(g, d.cycle, d.v, step.concat(x.p), x.q)
-            rhs = red(g, d.cycle, d.v, step.concat(p), q)
+            step = _edge_path(g, e)
+            lhs = sys.red(step.concat(x.p), x.q)
+            rhs = sys.red(step.concat(p), q)
             report.checked += 1
             if lhs != rhs:
                 report.failures.append(("reduction", e, p, q))
@@ -959,7 +936,7 @@ def distinctness_report(g: Graph, d1: ModuleDescriptor, d2: ModuleDescriptor) ->
     proved cases, everything else reports not_decided."""
     d1 = validate_module(g, d1)
     d2 = validate_module(g, d2)
-    same_ann = annihilator(g, d1) == annihilator(g, d2)
+    same_ann = _annihilator(g, d1) == _annihilator(g, d2)
 
     if isinstance(d1, NcModule) and isinstance(d2, NcModule):
         if d1.cycle == d2.cycle:

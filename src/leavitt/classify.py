@@ -28,19 +28,20 @@ from typing import Optional
 from .chen import (
     InfEmitterModule,
     ModuleDescriptor,
-    annihilator,
+    VAlphaModule,
+    _annihilator,
     inf_emitter_module,
     irrational_rule,
     nc_module,
     sink_module,
-    valpha_module,
 )
 from .errors import InputError, InternalCheckError
 from .graphs import (
     Cycle,
     Graph,
+    _classify_cycle,
+    _root_of,
     breaking_vertices,
-    classify_cycle,
     cycles_through,
     enumerate_cycles,
     is_downwards_directed,
@@ -65,9 +66,11 @@ class BaseVertex:
 
 def base_vertices(g: Graph, H) -> list:
     """All v outside H whose root is the whole complement of H."""
-    H = g.check_vertices(H)
-    comp = g.vertices - H
-    return [v for v in sorted(comp) if root(g, [v]) == comp]
+    return _base_vertices(g, g.vertices - g.check_vertices(H))
+
+
+def _base_vertices(g: Graph, comp: frozenset) -> list:
+    return [v for v in sorted(comp) if _root_of(g, v) == comp]
 
 
 def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
@@ -77,7 +80,8 @@ def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
     contradicts the classification and raises InternalCheckError."""
     if not any(g.tgt(ref) in comp for ref in g.out_refs(v, 2)):
         return BaseVertex(v, "no_edges_out", None)
-    thru = [(c, classify_cycle(g, c, comp)) for c in cycles_through(g, v)]
+    # the cycles through v lie in comp, since H is hereditary
+    thru = [(c, _classify_cycle(g, c, comp)) for c in cycles_through(g, v)]
     if not thru:
         raise InternalCheckError(
             f"{v!r} emits into the complement but lies on no cycle"
@@ -100,12 +104,11 @@ def find_base_vertex(g: Graph, H) -> Optional[BaseVertex]:
     None exactly when the complement is not downwards directed (on a finite
     graph a base vertex exists otherwise).
     """
-    H = admissible_pair(g, H).H
-    comp = g.vertices - H
+    comp = g.vertices - admissible_pair(g, H).H
     if not comp:
         raise InputError("the complement of H is empty")
 
-    candidates = base_vertices(g, H)
+    candidates = _base_vertices(g, comp)
     if not candidates:
         return None
     return classify_base_vertex(g, comp, candidates[0])
@@ -180,9 +183,11 @@ def evaluate_by_condition(g: Graph, pair: AdmissiblePair):
 
 def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
     """Case analysis via a base vertex and its cycle classification."""
-    base = find_base_vertex(g, pair.H)
-    if base is None:
+    comp = g.vertices - pair.H
+    bases = _base_vertices(g, comp)
+    if not bases:
         return GradedPrimitiveCase("none", reason="no base vertex (not downwards directed)")
+    base = classify_base_vertex(g, comp, bases[0])
     form = _s_form(g, pair)
     if form is None:
         return GradedPrimitiveCase("none", reason="S misses more than one breaking vertex")
@@ -197,11 +202,8 @@ def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
         # u must share a cycle with a base vertex; u itself qualifies exactly
         # when its root is the whole complement, and then any of its cycles
         # witnesses the requirement.
-        bases = set(base_vertices(g, pair.H))
         shared = [
-            c
-            for c in cycles_through(g, form.u)
-            if c.vertex_set & bases
+            c for c in cycles_through(g, form.u) if not c.vertex_set.isdisjoint(bases)
         ]
         if not shared:
             return GradedPrimitiveCase(
@@ -210,9 +212,8 @@ def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
             )
         # Anchor the witness at u, so the dropped vertex and the emitted
         # base vertex sit on the emitted cycle together.
-        comp = g.vertices - pair.H
         for cyc in shared:
-            cl = classify_cycle(g, cyc, comp)
+            cl = _classify_cycle(g, cyc, comp)
             if (case == "3d" and cl.exclusive) or (case == "3c" and cl.extreme_in_V):
                 return GradedPrimitiveCase(case, form.u, cyc, form)
         raise InternalCheckError(
@@ -321,12 +322,12 @@ def chen_witness(g: Graph, record: ClassificationRecord) -> ChenWitness:
                     f"extreme cycle {c} has no crossing cycle"
                 )
             rule = irrational_rule(g, c, min(crossing, key=Cycle.sort_key))
-            descriptor = valpha_module(g, rule)
+            descriptor = VAlphaModule(rule)
         else:
             descriptor = inf_emitter_module(g, case.s_form.u)
         kind = "extreme_cycle"
 
-    ann = annihilator(g, descriptor)
+    ann = _annihilator(g, descriptor)  # the constructors above validated it
     if ann != GradedIdeal(record.pair):
         raise InternalCheckError(
             f"witness annihilator {ann.label()} differs from {record.pair.label()}"

@@ -42,6 +42,9 @@ class _Analysis:
         "roots",
         "trees",
         "regular_targets",
+        "successors",
+        "predecessors",
+        "edge_paths",
         "breaking",
         "quotients",
     )
@@ -52,6 +55,9 @@ class _Analysis:
         self.roots = {}  # v -> R({v})
         self.trees = {}  # v -> T({v})
         self.regular_targets = None  # regular v -> targets of its edges
+        self.successors = None  # v -> frozenset of the vertices v emits into
+        self.predecessors = None  # v -> frozenset of the vertices emitting into v
+        self.edge_paths = {}  # edge ref -> its one-edge Path
         self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
 
@@ -88,7 +94,7 @@ class Graph:
             self._in_bundles[tgt].append(bid)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Graph)
             and self.vertices == other.vertices
             and self.edges == other.edges
@@ -173,17 +179,19 @@ class Graph:
             raise InputError(f"{v!r} is not a regular vertex")
         return self._out_edges[v][0]  # out lists are kept sorted
 
-    # -- vertex-level adjacency (bundles count once) ------------------------
+    # -- vertex-level adjacency (bundles count once, built once per graph) ---
 
-    def successors(self, v: str) -> set:
-        out = {self.edges[e][1] for e in self._out_edges[v]}
-        out.update(self.bundles[b][1] for b in self._out_bundles[v])
-        return out
+    def successors(self, v: str) -> frozenset:
+        a = self._analysis
+        if a.successors is None:
+            a.successors = {u: frozenset(map(self.tgt, self.out_refs(u))) for u in self.vertex_list}
+        return a.successors[v]
 
-    def predecessors(self, v: str) -> set:
-        pre = {self.edges[e][0] for e in self._in_edges[v]}
-        pre.update(self.bundles[b][0] for b in self._in_bundles[v])
-        return pre
+    def predecessors(self, v: str) -> frozenset:
+        a = self._analysis
+        if a.predecessors is None:
+            a.predecessors = {u: frozenset(map(self.src, self.in_refs(u))) for u in self.vertex_list}
+        return a.predecessors[v]
 
 
 @dataclass(frozen=True)
@@ -240,21 +248,30 @@ def vertex_path(v: str) -> Path:
     return Path((v,), ())
 
 
+def _edge_path(g: Graph, ref: EdgeRef) -> Path:
+    """The one-edge path of a ref, built once per graph; checks only that g
+    has the ref."""
+    paths = g._analysis.edge_paths
+    p = paths.get(ref)
+    if p is None:
+        if not g.has_ref(ref):
+            raise InputError(f"unknown edge ref {ref_str(ref)!r}")
+        p = paths[ref] = Path((g.src(ref), g.tgt(ref)), (ref,))
+    return p
+
+
 def make_path(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Path:
     """Build a validated path from a start vertex and edge refs."""
     g.check_vertices([start])
     vertices = [start]
     out_steps = []
-    at = start
     for ref in steps:
-        if not g.has_ref(ref):
-            raise InputError(f"unknown edge ref {ref_str(ref)!r}")
-        if g.src(ref) != at:
+        e = _edge_path(g, ref)
+        if e.start != vertices[-1]:
             raise InputError(
-                f"step {ref_str(ref)!r} starts at {g.src(ref)!r}, expected {at!r}"
+                f"step {ref_str(ref)!r} starts at {e.start!r}, expected {vertices[-1]!r}"
             )
-        at = g.tgt(ref)
-        vertices.append(at)
+        vertices.append(e.end)
         out_steps.append(ref)
     return Path(tuple(vertices), tuple(out_steps))
 
@@ -355,8 +372,7 @@ def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
 
 
 def check_cycle(g: Graph, c: Cycle) -> Cycle:
-    """Validate that a Cycle value is an actual cycle of g; returns c as
-    given (not rotated)."""
+    """Validate a Cycle value as a cycle of g; returns c as given (not rotated)."""
     make_cycle(g, c.path.start, c.steps)
     return c
 
@@ -547,7 +563,6 @@ def _cycles(g: Graph, bundle_sample: int) -> tuple:
 
 def _enumerate_cycles(g: Graph, bundle_sample: int) -> list:
     cycles = set()
-    order = {v: i for i, v in enumerate(g.vertex_list)}
 
     def extend(path_steps, path_vertices):
         at = path_vertices[-1]
@@ -555,10 +570,11 @@ def _enumerate_cycles(g: Graph, bundle_sample: int) -> list:
         for ref in g.out_refs(at, bundle_sample):
             nxt = g.tgt(ref)
             if nxt == start:
+                # start is the least vertex on the cycle: canonical rotation
                 cycles.add(
-                    make_cycle(g, start, tuple(path_steps) + (ref,))
+                    Cycle(Path(tuple(path_vertices) + (start,), tuple(path_steps) + (ref,)))
                 )
-            elif order[nxt] > order[start] and nxt not in path_vertices:
+            elif nxt > start and nxt not in path_vertices:  # vertex_list is sorted
                 extend(path_steps + [ref], path_vertices + [nxt])
 
     for v in g.vertex_list:
@@ -566,17 +582,16 @@ def _enumerate_cycles(g: Graph, bundle_sample: int) -> list:
     return sorted(cycles, key=Cycle.sort_key)
 
 
-def cycle_exits(g: Graph, c: Cycle, bundle_sample: int = 1) -> list:
-    """Edge refs leaving the cycle from its vertices (one sample per bundle
-    plus every unused parallel index below the sample)."""
+def cycle_exits(g: Graph, c: Cycle) -> list:
+    """Edge refs leaving the cycle from its vertices (bundles at index 0)."""
     on_cycle = set(c.steps)
     exits = []
     for v in c.sources:
-        for ref in g.out_refs(v, bundle_sample):
+        for ref in g.out_refs(v):
             if ref not in on_cycle:
                 exits.append(ref)
         # A bundle edge on the cycle leaves its infinitely many parallel
-        # copies as exits; make sure at least one shows up even at sample 1.
+        # copies as exits; make sure one of them shows up.
         for step in c.steps:
             if is_bundle_ref(step) and g.src(step) == v:
                 witness = (step[0], step[1] + 1)
@@ -618,7 +633,7 @@ def _cycle_counts(g: Graph) -> Counter:
 
 def _induced(adjacency, V: frozenset):
     def step(v):
-        return {u for u in adjacency(v) if u in V}
+        return adjacency(v) & V
 
     return step
 
@@ -636,6 +651,11 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     check_cycle(g, c)
     if not c.vertex_set <= V:
         raise InputError("cycle vertices must lie inside V")
+    return _classify_cycle(g, c, V)
+
+
+def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
+    """classify_cycle, trusting that c is a cycle of g inside V, a set of g."""
     if any(is_bundle_ref(s) for s in c.steps):
         exclusive = False
     else:
@@ -670,8 +690,9 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
     return CycleClassification(kind, exclusive, extreme, no_exit_in_V, escape)
 
 
-def cycles_through(g: Graph, v: str, bundle_sample: int = 2) -> list:
-    return [c for c in _cycles(g, bundle_sample) if v in c.vertex_set]
+def cycles_through(g: Graph, v: str) -> list:
+    """The sample-2 cycles through v, in enumeration order."""
+    return [c for c in _cycles(g, 2) if v in c.vertex_set]
 
 
 def exitless_cycle_vertices(g: Graph) -> dict:
@@ -737,7 +758,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> frozenset:
 def _breaking_vertices(g: Graph, H: frozenset) -> frozenset:
     """B_H for an H the caller knows to be hereditary and saturated.  The
     result is remembered per graph, and a remembered H counts as validated
-    by ``breaking_vertices`` and ``ideals.admissible_pair``."""
+    by ``breaking_vertices``, the one check of H that ``ideals`` uses too."""
     out = set()
     for v in g.vertex_list:
         if v in H or not g.is_infinite_emitter(v):

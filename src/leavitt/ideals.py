@@ -26,8 +26,6 @@ from .graphs import (
     breaking_vertices,
     classify_cycle,
     hereditary_saturated_closure,
-    is_hereditary,
-    is_saturated,
     root,
 )
 
@@ -47,17 +45,9 @@ class AdmissiblePair:
 
 
 def admissible_pair(g: Graph, H, S=()) -> AdmissiblePair:
-    H = g.check_vertices(H)
+    H = frozenset(H)
+    B = breaking_vertices(g, H)  # validates H: known ids, hereditary, saturated
     S = g.check_vertices(S)
-    B = g._analysis.breaking.get(H)
-    if B is None:
-        ok, witness = is_hereditary(g, H)
-        if not ok:
-            raise InputError(f"H not hereditary (witness {witness})")
-        ok, witness = is_saturated(g, H)
-        if not ok:
-            raise InputError(f"H not saturated (witness {witness})")
-        B = _breaking_vertices(g, H)
     if not S <= B:
         raise InputError(f"S must be a subset of B_H = {sorted(B)}")
     return AdmissiblePair(H, S)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leavitt import algebra as alg
-from leavitt.catalog import CATALOG, G1, G2, G3, G5
+from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
 from leavitt.errors import InputError
 from leavitt.fields import QQ, ModInt, PrimeField, field_from_spec
-from leavitt.graphs import enumerate_paths, make_path, vertex_path
+from leavitt.graphs import _edge_path, enumerate_paths, make_path, vertex_path
 
 
 E1 = make_path(G1, "v", ["e"])
@@ -48,6 +48,38 @@ class TestMonomialConstruction:
 
     def test_vertex_orthogonality(self):
         assert (alg.vertex(G2, "v") * alg.vertex(G2, "w")).is_zero
+
+    def test_units_match_monomial_route(self):
+        # Oracle: vertex, edge and ghost build their element directly and
+        # the one-edge helper checks only the ref; the old route validated
+        # through make_path and normalized through monomial.
+        rng = random.Random(14)
+        graphs = list(CATALOG.values()) + [random_graph(rng) for _ in range(300)]
+        refs = 0
+        for g in graphs:
+            for v in g.vertex_list:
+                p = vertex_path(v)
+                assert alg.vertex(g, v) == alg.monomial(g, p, p)
+                for ref in g.out_refs(v, 2):
+                    e = make_path(g, v, [ref])
+                    assert _edge_path(g, ref) == e
+                    r = vertex_path(e.end)
+                    assert alg.edge(g, ref) == alg.monomial(g, e, r)
+                    assert alg.ghost(g, ref) == alg.monomial(g, r, e)
+                    refs += 1
+        assert refs > 1000, refs
+        gf5 = PrimeField(5)
+        assert alg.edge(G2, ("b", 1), gf5) == alg.monomial(
+            G2, make_path(G2, "v", [("b", 1)]), vertex_path("w"), field=gf5
+        )
+
+    def test_unknown_ids_raise_input_error(self):
+        for ref in ("nope", ("nope", 0), ("b", -1), ("b", "0"), ("b", 0, 1)):
+            for build in (alg.edge, alg.ghost, _edge_path):
+                with pytest.raises(InputError, match="unknown edge ref"):
+                    build(G2, ref)
+        with pytest.raises(InputError, match="unknown vertex"):
+            alg.vertex(G2, "nope")
 
 
 class TestStar:

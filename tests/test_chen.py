@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from leavitt import algebra as alg
-from leavitt import chen
+from leavitt import chen, graphs
 from leavitt.branching import ModuleVector, Truncation, act, check_axioms
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
 from leavitt.errors import InputError, InternalCheckError, WindowOverflow
 from leavitt.graphs import (
+    Graph,
     RationalTailSpec,
     enumerate_cycles,
     enumerate_paths,
@@ -80,6 +81,19 @@ class TestIrrationalRule:
             chen.irrational_rule(G4, enumerate_cycles(G4)[0], enumerate_cycles(G4)[0])
         with pytest.raises(InputError):
             chen.irrational_rule(G6, C6, C1)
+
+    def test_valpha_requires_the_least_shared_pivot(self):
+        # two 2-cycles through both v and w: the constructor pivots at v
+        g = Graph(["v", "w"], edges={"f": ("v", "w"), "g": ("w", "v"), "h": ("v", "w")})
+        c, d = enumerate_cycles(g)
+        rule = chen.irrational_rule(g, c, d)
+        assert rule.pivot == "v"
+        assert chen.valpha_module(g, rule).tail == rule
+        at_w = chen.IrrationalRule(rule.c.rotate_to("w"), rule.d.rotate_to("w"))
+        with pytest.raises(InputError, match="not in canonical form"):
+            chen.valpha_module(g, at_w)
+        with pytest.raises(InputError):
+            chen.valpha_module(g, chen.IrrationalRule(rule.c, rule.c))
 
 
 class TestDescriptors:
@@ -331,6 +345,53 @@ class TestDecomposeAndRecover:
                     chen.ReducedPair(vertex_path(v), vertex_path(v))
                 )
                 assert act(sys, w.carrier, vec, T) == target
+
+    def test_rejects_modules_other_than_nc(self):
+        unit = ModuleVector.unit(vertex_path("w"))
+        for g, d in [
+            (G2, chen.sink_module(G2, "w")),
+            (G2, chen.inf_emitter_module(G2, "v")),
+            (G1, chen.valpha_module(G1, rational_tail(G1, vertex_path("v"), C1))),
+            (G5, chen.valpha_module(G5, chen.irrational_rule(G5, *enumerate_cycles(G5)))),
+        ]:
+            for call in (
+                lambda: chen.homogeneous_decompose(g, d, unit),
+                lambda: chen.recover_generator(g, d, unit, T),
+                lambda: chen.ghost_action_check(g, d, T),
+            ):
+                with pytest.raises(InputError, match="not an N_c module"):
+                    call()
+
+    def test_recover_validates_once(self, monkeypatch):
+        d, sys = self._sys(G3, C3)
+        x = {str(y): y for y in sys.enumerate(T)}["ec"]
+        calls = []
+        validate = chen.validate_module
+        monkeypatch.setattr(
+            chen, "validate_module", lambda g, d: calls.append(d) or validate(g, d)
+        )
+        chen.recover_generator(G3, d, ModuleVector.unit(x), T)
+        assert calls == [d]
+
+
+class TestTrustedInternals:
+    """Values the engine built itself are not validated again."""
+
+    def test_systems_call_no_path_or_cycle_check(self, monkeypatch):
+        systems = [chen.build_module(g, d) for _, g, d in catalog_modules(CATALOG)]
+        systems += [chen.NaivePairSystem(G1, "v"), chen.NaivePairSystem(G3, "v")]
+        calls = []
+        for mod in (graphs, alg, chen):
+            for name in ("make_path", "make_cycle", "check_cycle"):
+                if hasattr(mod, name):
+                    check = getattr(mod, name)
+                    monkeypatch.setattr(
+                        mod, name, lambda *a, _n=name, _f=check: calls.append(_n) or _f(*a)
+                    )
+        for sys in systems:
+            check_axioms(sys, Truncation(5, 2))
+        assert calls == []
+        assert len(systems) == 18
 
 
 class TestShiftIso:

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from leavitt import chen
+from leavitt import chen, graphs
 from leavitt import classify as cls
 from leavitt import ideals as idl
 from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
 from leavitt.errors import InputError, InternalCheckError
 from leavitt.graphs import (
     Graph,
+    breaking_vertices,
     enumerate_cycles,
     has_condition_L,
     is_downwards_directed,
@@ -59,6 +60,27 @@ class TestFindBaseVertex:
                 base = cls.find_base_vertex(g, p.H)
                 if base is not None:
                     assert root(g, [base.v]) == g.vertices - p.H
+                # evaluate_by_cases lists the base vertices itself
+                case = cls.evaluate_by_cases(g, p)
+                if base is None:
+                    assert case.case == "none"
+                elif p.S == breaking_vertices(g, p.H):
+                    assert (case.v, case.cycle) == (base.v, base.cycle)
+
+    def test_classification_builds_no_path_or_cycle(self, monkeypatch):
+        # Cycles from the graph's own list are not validated again.
+        calls = []
+        for name in ("make_path", "make_cycle", "check_cycle"):
+            check = getattr(graphs, name)
+            monkeypatch.setattr(
+                graphs, name, lambda *a, _n=name, _f=check: calls.append(_n) or _f(*a)
+            )
+        rng = random.Random(23)
+        for g in list(CATALOG.values()) + [random_graph(rng) for _ in range(40)]:
+            for p in idl.enumerate_admissible_pairs(g):
+                if idl.is_proper(g, p):
+                    cls.classify_graded_ideal(g, p)
+        assert calls == []
 
 
 class TestClassifyGradedIdeal:

@@ -399,6 +399,20 @@ class TestAnalysisCache:
             for s in (1, 2):
                 assert enumerate_cycles(g, s) == _enumerate_cycles(g, s)
                 assert enumerate_cycles(g, s) == _enumerate_cycles(g, s)  # a hit
+                # built directly; make_cycle validates and rotates as before
+                for c in _enumerate_cycles(g, s):
+                    assert make_cycle(g, c.base, c.steps) == c
+
+    def test_adjacency_matches_edge_tables(self):
+        for g in _oracle_graphs():
+            for v in g.vertex_list:
+                out = {g.tgt(r) for r in g.out_refs(v)}
+                into = {g.src(r) for r in g.in_refs(v)}
+                assert g.successors(v) == out and g.predecessors(v) == into
+                assert g.successors(v) is g.successors(v)  # built once
+                assert isinstance(g.predecessors(v), frozenset)
+            copy = Graph(g.vertices, g.edges, g.bundles)
+            assert g == g and g == copy and copy == g
 
     def test_returned_cycle_list_is_a_copy(self):
         g = Graph(G6.vertices, G6.edges)

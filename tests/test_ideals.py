@@ -119,13 +119,14 @@ class TestBreakingMemo:
     def test_invalid_h_raises_after_enumeration(self):
         g3 = Graph(G3.vertices, G3.edges, G3.bundles)
         line = Graph(["a", "b"], edges={"x": ("a", "b")})
+        # one copy of the check, in graphs.breaking_vertices, serves all three
         want = [
-            "H not hereditary (witness ('u', 'v'))",
             "H is not hereditary (witness ('u', 'v'))",
-            "H not hereditary (witness ('u', 'v'))",
-            "H not saturated (witness a)",
+            "H is not hereditary (witness ('u', 'v'))",
+            "H is not hereditary (witness ('u', 'v'))",
             "H is not saturated (witness a)",
-            "H not saturated (witness a)",
+            "H is not saturated (witness a)",
+            "H is not saturated (witness a)",
         ]
         for _ in range(2):  # on fresh graphs, then with every valid H remembered
             assert [
