@@ -130,6 +130,8 @@ class AlgebraElement:
 
     def scale(self, k) -> "AlgebraElement":
         k = self.field.coerce(k)
+        if k == 1:
+            return self  # no code mutates .terms after construction
         if k == 0:
             return AlgebraElement(self.graph, self.field, {}, _normalized=True)
         return AlgebraElement(

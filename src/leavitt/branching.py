@@ -71,12 +71,6 @@ class BranchingSystem:
             refs.extend(self.graph.out_refs(v, t.bundle_sample))
         return refs
 
-    def vertex_of(self, x) -> Optional[str]:
-        for v in self.graph.vertex_list:
-            if self.member_vertex(x, v):
-                return v
-        return None
-
 
 class ModuleVector:
     """Finitely supported map basis element -> nonzero scalar."""

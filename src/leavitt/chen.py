@@ -31,6 +31,7 @@ from .graphs import (
     classify_cycle,
     enumerate_paths,
     is_bundle_ref,
+    make_path,
     rational_tail,
     ref_str,
     root,
@@ -87,6 +88,11 @@ def red(g: Graph, cycle: Cycle, v: str, p: Path, q: Path) -> ReducedPair:
     _check_inside_cycle(cycle_at_v, q)
     if p.end != q.end:
         raise InputError("p and q must share their range")
+    return _strip(p, q)
+
+
+def _strip(p: Path, q: Path) -> ReducedPair:
+    """red for a pair the caller knows satisfies its requirements."""
     while p.steps and q.steps and p.steps[-1] == q.steps[-1]:
         p = p.drop_last()
         q = q.drop_last()
@@ -265,7 +271,8 @@ def inf_emitter_module(g: Graph, v: str) -> InfEmitterModule:
 def valpha_module(g: Graph, tail) -> VAlphaModule:
     """A tail spec is valid when its constructor returns it unchanged."""
     if isinstance(tail, RationalTailSpec):
-        canon = rational_tail(g, tail.prefix, check_cycle(g, tail.cycle))
+        prefix = make_path(g, tail.prefix.start, tail.prefix.steps)
+        canon = rational_tail(g, prefix, check_cycle(g, tail.cycle))
         kind = "rational tail spec"
     elif isinstance(tail, IrrationalRule):
         kind, canon = "irrational rule", irrational_rule(g, tail.c, tail.d)
@@ -331,9 +338,6 @@ class NcBranchingSystem(BranchingSystem):
     def basis_vertex(self) -> ReducedPair:
         return ReducedPair(vertex_path(self.v), vertex_path(self.v))
 
-    def red(self, p: Path, q: Path) -> ReducedPair:
-        return red(self.graph, self.cycle, self.v, p, q)
-
     def enumerate(self, t: Truncation):
         for p, q in _windowed_pairs(self.graph, NcModule(self.cycle, self.v), t):
             if p.steps and q.steps and p.steps[-1] == q.steps[-1]:
@@ -352,13 +356,13 @@ class NcBranchingSystem(BranchingSystem):
         return bool(x.p.steps) and x.p.steps[0] == ref
 
     def sigma(self, ref, x: ReducedPair) -> ReducedPair:
-        return self.red(_edge_path(self.graph, ref).concat(x.p), x.q)
+        return _strip(_edge_path(self.graph, ref).concat(x.p), x.q)
 
     def sigma_inv(self, ref, x: ReducedPair) -> ReducedPair:
         if x.p.steps:
             if x.p.steps[0] != ref:
                 raise InputError("element is not in this edge fiber")
-            return self.red(x.p.drop_first(), x.q)
+            return _strip(x.p.drop_first(), x.q)
         # pure ghost q*: only the cycle edge at r(q) acts, growing the ghost
         if ref not in self._cycle_edges or self.graph.src(ref) != x.q.end:
             raise InputError("element is not in this edge fiber")
@@ -660,11 +664,13 @@ def homogeneous_decompose(g: Graph, d: NcModule, a: ModuleVector) -> list:
     sys = _nc_system(g, d)
     if not a.is_homogeneous(sys):
         raise InputError("vector is not homogeneous")
+    for x in a.terms:
+        red(g, sys.cycle, sys.v, x.p, x.q)  # the one check of each caller element
     return _blocks(sys, a)
 
 
 def _blocks(sys: NcBranchingSystem, a: ModuleVector) -> list:
-    """homogeneous_decompose for a homogeneous vector of the system."""
+    """homogeneous_decompose for a homogeneous vector the caller has checked."""
     groups: dict = {}
     for x, k in a.terms.items():
         t, c_part = _first_touch_split(sys.cycle.vertex_set, x.p)
@@ -677,7 +683,7 @@ def _blocks(sys: NcBranchingSystem, a: ModuleVector) -> list:
                 "distinct same-prefix basis elements in a homogeneous vector"
             )
         k, c_part, x = entries[0]
-        collapsed = sys.red(c_part, x.q)
+        collapsed = _strip(c_part, x.q)
         blocks.append(Block(k, t, c_part, x.q, collapsed, x))
     return blocks
 
@@ -707,6 +713,7 @@ def recover_generator(
     for x in a.terms:
         if not sys.in_window(x, t):
             raise InputError(f"support element {x} is outside the window")
+        red(g, sys.cycle, sys.v, x.p, x.q)  # the one check of each caller element
     j, block = 0, _blocks(sys, a)[0]
     p_j = block.t.concat(block.c_part)
     q_j = block.q
@@ -901,7 +908,7 @@ def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> Identi
     report = IdentityReport()
     cycle_vs = sys.cycle.vertex_set
     for p, q in _windowed_pairs(g, NcModule(sys.cycle, sys.v), t):
-        x = sys.red(p, q)
+        x = _strip(p, q)
         if p.start in cycle_vs:
             ghost = alg.monomial(g, vertex_path(p.end), p, field=field)
             got = act(sys, ghost, ModuleVector.unit(x, field), t)
@@ -911,8 +918,8 @@ def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> Identi
                 report.failures.append(("ghost_action", p, q, got))
         for e in g.in_refs(p.start, t.bundle_sample):
             step = _edge_path(g, e)
-            lhs = sys.red(step.concat(x.p), x.q)
-            rhs = sys.red(step.concat(p), q)
+            lhs = _strip(step.concat(x.p), x.q)
+            rhs = _strip(step.concat(p), q)
             report.checked += 1
             if lhs != rhs:
                 report.failures.append(("reduction", e, p, q))

@@ -40,10 +40,9 @@ from .graphs import (
     Cycle,
     Graph,
     _classify_cycle,
+    _cycles,
     _root_of,
     breaking_vertices,
-    cycles_through,
-    enumerate_cycles,
     is_downwards_directed,
     root,
 )
@@ -77,21 +76,22 @@ def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
     """Sort a base vertex v of the complement comp into its case: it emits
     nothing into comp (3b), or lies on an exclusive cycle (3d), or else on
     a cycle extreme in comp (3c).  A base vertex that fits none of them
-    contradicts the classification and raises InternalCheckError."""
+    contradicts the classification and raises InternalCheckError.
+    All cycles through v have one kind, as every vertex of comp reaches v
+    (README, "Notes on semantics"), so the first one decides the case."""
     if not any(g.tgt(ref) in comp for ref in g.out_refs(v, 2)):
         return BaseVertex(v, "no_edges_out", None)
-    # the cycles through v lie in comp, since H is hereditary
-    thru = [(c, _classify_cycle(g, c, comp)) for c in cycles_through(g, v)]
-    if not thru:
+    c = next((c for c in _cycles(g, 2) if v in c.vertex_set), None)
+    if c is None:
         raise InternalCheckError(
             f"{v!r} emits into the complement but lies on no cycle"
         )
-    for c, cl in thru:
-        if cl.exclusive:
-            return BaseVertex(v, "exclusive_cycle", c)
-    for c, cl in thru:
-        if cl.extreme_in_V:
-            return BaseVertex(v, "extreme_cycle", c)
+    # c lies in comp, since H is hereditary
+    cl = _classify_cycle(g, c, comp)
+    if cl.exclusive:
+        return BaseVertex(v, "exclusive_cycle", c)
+    if cl.extreme_in_V:
+        return BaseVertex(v, "extreme_cycle", c)
     raise InternalCheckError(
         f"no cycle through base vertex {v!r} is exclusive or extreme"
     )
@@ -200,25 +200,21 @@ def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
                 "none", reason="case b admits no broken vertex to drop"
             )
         # u must share a cycle with a base vertex; u itself qualifies exactly
-        # when its root is the whole complement, and then any of its cycles
-        # witnesses the requirement.
-        shared = [
-            c for c in cycles_through(g, form.u) if not c.vertex_set.isdisjoint(bases)
-        ]
-        if not shared:
+        # when its root is the whole complement, that is when u is a base
+        # vertex, and then any of its cycles witnesses the requirement.
+        if form.u not in bases:
             return GradedPrimitiveCase(
                 "none",
                 reason=f"{form.u} shares no cycle with a base vertex",
             )
         # Anchor the witness at u, so the dropped vertex and the emitted
         # base vertex sit on the emitted cycle together.
-        for cyc in shared:
-            cl = _classify_cycle(g, cyc, comp)
-            if (case == "3d" and cl.exclusive) or (case == "3c" and cl.extreme_in_V):
-                return GradedPrimitiveCase(case, form.u, cyc, form)
-        raise InternalCheckError(
-            f"no cycle through {form.u!r} matches case {case}"
-        )
+        at_u = classify_base_vertex(g, comp, form.u)
+        if at_u.kind != base.kind:
+            raise InternalCheckError(
+                f"no cycle through {form.u!r} matches case {case}"
+            )
+        return GradedPrimitiveCase(case, form.u, at_u.cycle, form)
     return GradedPrimitiveCase(case, base.v, base.cycle, form)
 
 
@@ -312,16 +308,15 @@ def chen_witness(g: Graph, record: ClassificationRecord) -> ChenWitness:
     else:  # 3c
         if case.s_form.kind == "full":
             c = case.cycle
-            crossing = [
-                d
-                for d in enumerate_cycles(g, 2)
-                if d != c and d.vertex_set & c.vertex_set
-            ]
-            if not crossing:
+            crossing = next(
+                (d for d in _cycles(g, 2) if d != c and d.vertex_set & c.vertex_set),
+                None,
+            )
+            if crossing is None:
                 raise InternalCheckError(
                     f"extreme cycle {c} has no crossing cycle"
                 )
-            rule = irrational_rule(g, c, min(crossing, key=Cycle.sort_key))
+            rule = irrational_rule(g, c, crossing)
             descriptor = VAlphaModule(rule)
         else:
             descriptor = inf_emitter_module(g, case.s_form.u)

@@ -185,9 +185,6 @@ def parse_graph_document(text: str) -> GraphDocument:
 
     if not vertices:
         raise InputError("graph file declares no vertices")
-    for name, (src, tgt) in list(edges.items()) + list(bundles.items()):
-        if src not in vertices or tgt not in vertices:
-            raise InputError(f"edge/bundle {name!r} references unknown vertex")
     doc = GraphDocument(Graph(vertices, edges, bundles))
 
     try:

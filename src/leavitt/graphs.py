@@ -146,9 +146,6 @@ class Graph:
     def out_bundle_ids(self, v: str) -> list:
         return list(self._out_bundles[v])
 
-    def in_bundle_ids(self, v: str) -> list:
-        return list(self._in_bundles[v])
-
     def out_refs(self, v: str, bundle_sample: int = 1) -> list:
         """Outgoing edge refs, with each bundle sampled at indices < bundle_sample."""
         refs: list = list(self._out_edges[v])
@@ -335,12 +332,11 @@ class Cycle:
         j = rotated.sources.index(v)
         return rotated.path.prefix(j)
 
-    def power(self, k: int, base: Optional[str] = None) -> Path:
-        """The path winding k >= 0 times around from the given basepoint."""
-        c = self if base is None else self.rotate_to(base)
-        out = vertex_path(c.base)
+    def power(self, k: int) -> Path:
+        """The path winding k >= 0 times around from the basepoint."""
+        out = vertex_path(self.base)
         for _ in range(k):
-            out = out.concat(c.path)
+            out = out.concat(self.path)
         return out
 
     def walk_from(self, v: str, length: int) -> Path:
@@ -372,8 +368,10 @@ def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
 
 
 def check_cycle(g: Graph, c: Cycle) -> Cycle:
-    """Validate a Cycle value as a cycle of g; returns c as given (not rotated)."""
-    make_cycle(g, c.path.start, c.steps)
+    """Validate a Cycle value as a cycle of g, its vertex tuple included;
+    returns c as given (not rotated)."""
+    if make_cycle(g, c.base, c.steps).rotate_to(c.base) != c:
+        raise InputError("cycle vertices do not match its edges")
     return c
 
 
@@ -688,11 +686,6 @@ def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
     else:
         kind = "neither"
     return CycleClassification(kind, exclusive, extreme, no_exit_in_V, escape)
-
-
-def cycles_through(g: Graph, v: str) -> list:
-    """The sample-2 cycles through v, in enumeration order."""
-    return [c for c in _cycles(g, 2) if v in c.vertex_set]
 
 
 def exitless_cycle_vertices(g: Graph) -> dict:

@@ -187,16 +187,13 @@ def _quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     return QuotientGraph(Graph(vertices, edges, bundles), pair, primed_vertices, primed_edges)
 
 
-def quotient_map(
-    g: Graph, pair: AdmissiblePair, a: alg.AlgebraElement, qg: Optional[QuotientGraph] = None
-) -> alg.AlgebraElement:
+def quotient_map(g: Graph, pair: AdmissiblePair, a: alg.AlgebraElement) -> alg.AlgebraElement:
     """The canonical surjection with kernel I(H, S), in quotient normal form.
 
     Generator images: vertices of H and edges into H go to zero; an unbroken
     breaking vertex v maps to v + v', and an edge ranging at it to e + e'.
     """
-    if qg is None:
-        qg = quotient_graph(g, pair)
+    qg = quotient_graph(g, pair)
     q = qg.graph
     H = pair.H
     field = a.field

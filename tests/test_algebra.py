@@ -170,6 +170,14 @@ class TestNormalForm:
         a = alg.monomial(G1, E1, E1) + alg.ghost(G1, "e") * alg.edge(G1, "e")
         assert a == alg.vertex(G1, "v").scale(2)
 
+    def test_scale_by_one_returns_the_element(self):
+        a = alg.vertex(G1, "v") + alg.edge(G1, "e")
+        assert a.scale(1) is a and a.scale("1") is a
+        b = alg.vertex(G1, "v", PrimeField(7))
+        assert b.scale(ModInt(8, 7)) is b
+        assert a.scale(2) == alg.vertex(G1, "v").scale(2) + alg.edge(G1, "e").scale(2)
+        assert a == alg.vertex(G1, "v") + alg.edge(G1, "e")
+
 
 class TestGradingAndComponents:
     def test_components(self):

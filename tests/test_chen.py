@@ -138,6 +138,25 @@ class TestDescriptors:
         with pytest.raises(InputError):
             chen.valpha_module(G1, bad)
 
+    def test_rational_prefix_checked_against_graph(self):
+        unknown_edge = chen.RationalTailSpec(graphs.Path(("v", "v"), ("zzz",)), C1)
+        wrong_vertices = chen.RationalTailSpec(graphs.Path(("w", "v"), ("e",)), C3)
+        for g, tail in [(G1, unknown_edge), (G3, wrong_vertices)]:
+            with pytest.raises(InputError):
+                chen.valpha_module(g, tail)
+            with pytest.raises(InputError):
+                chen.annihilator(g, chen.VAlphaModule(tail))
+
+    def test_cycle_vertices_must_match_edges(self):
+        bogus = graphs.Cycle(graphs.Path(("v", "v", "v"), ("f", "g")))
+        for call in (
+            lambda: graphs.check_cycle(G6, bogus),
+            lambda: graphs.classify_cycle(G6, bogus, G6.vertices),
+            lambda: chen.nc_module(G6, bogus, "v"),
+        ):
+            with pytest.raises(InputError, match="cycle vertices do not match"):
+                call()
+
 
 class TestNcSystems:
     def test_g1_basis_one_per_degree(self):
@@ -362,6 +381,16 @@ class TestDecomposeAndRecover:
                 with pytest.raises(InputError, match="not an N_c module"):
                     call()
 
+    def test_hand_built_pair_escaping_cycle_rejected(self):
+        # the ghost part b[0] of x leaves the loop c at v
+        d = chen.nc_module(G2, enumerate_cycles(G2)[0], "v")
+        x = chen.ReducedPair(vertex_path("w"), make_path(G2, "v", [("b", 0)]))
+        vec = ModuleVector.unit(x)
+        with pytest.raises(InputError, match="q escapes the cycle"):
+            chen.homogeneous_decompose(G2, d, vec)
+        with pytest.raises(InputError, match="q escapes the cycle"):
+            chen.recover_generator(G2, d, vec, T)
+
     def test_recover_validates_once(self, monkeypatch):
         d, sys = self._sys(G3, C3)
         x = {str(y): y for y in sys.enumerate(T)}["ec"]
@@ -382,7 +411,7 @@ class TestTrustedInternals:
         systems += [chen.NaivePairSystem(G1, "v"), chen.NaivePairSystem(G3, "v")]
         calls = []
         for mod in (graphs, alg, chen):
-            for name in ("make_path", "make_cycle", "check_cycle"):
+            for name in ("make_path", "make_cycle", "check_cycle", "_check_inside_cycle"):
                 if hasattr(mod, name):
                     check = getattr(mod, name)
                     monkeypatch.setattr(

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from leavitt.graphs import (
     is_downwards_directed,
     root,
 )
+from smallgraphs import three_vertex_graphs
 
 
 def pair(g, H, S=()):
@@ -24,6 +27,70 @@ def pair(g, H, S=()):
 
 def witness(g, p):
     return cls.chen_witness(g, cls.classify_graded_ideal(g, p))
+
+
+# The all-cycles scans that classify.py replaced by reading the first cycle
+# through a vertex; kept verbatim as the oracle of the first-cycle route.
+
+
+def cycles_through(g, v):
+    """The sample-2 cycles through v, in enumeration order."""
+    return [c for c in graphs._cycles(g, 2) if v in c.vertex_set]
+
+
+def all_cycles_classify_base_vertex(g, comp, v):
+    if not any(g.tgt(ref) in comp for ref in g.out_refs(v, 2)):
+        return cls.BaseVertex(v, "no_edges_out", None)
+    # the cycles through v lie in comp, since H is hereditary
+    thru = [(c, graphs._classify_cycle(g, c, comp)) for c in cycles_through(g, v)]
+    if not thru:
+        raise InternalCheckError(
+            f"{v!r} emits into the complement but lies on no cycle"
+        )
+    for c, cl in thru:
+        if cl.exclusive:
+            return cls.BaseVertex(v, "exclusive_cycle", c)
+    for c, cl in thru:
+        if cl.extreme_in_V:
+            return cls.BaseVertex(v, "extreme_cycle", c)
+    raise InternalCheckError(
+        f"no cycle through base vertex {v!r} is exclusive or extreme"
+    )
+
+
+def all_cycles_evaluate_by_cases(g, pair):
+    comp = g.vertices - pair.H
+    bases = cls._base_vertices(g, comp)
+    if not bases:
+        return cls.GradedPrimitiveCase("none", reason="no base vertex (not downwards directed)")
+    base = all_cycles_classify_base_vertex(g, comp, bases[0])
+    form = cls._s_form(g, pair)
+    if form is None:
+        return cls.GradedPrimitiveCase("none", reason="S misses more than one breaking vertex")
+    case = {"no_edges_out": "3b", "extreme_cycle": "3c", "exclusive_cycle": "3d"}[
+        base.kind
+    ]
+    if form.kind == "minus":
+        if case == "3b":
+            return cls.GradedPrimitiveCase(
+                "none", reason="case b admits no broken vertex to drop"
+            )
+        shared = [
+            c for c in cycles_through(g, form.u) if not c.vertex_set.isdisjoint(bases)
+        ]
+        if not shared:
+            return cls.GradedPrimitiveCase(
+                "none",
+                reason=f"{form.u} shares no cycle with a base vertex",
+            )
+        for cyc in shared:
+            cl = graphs._classify_cycle(g, cyc, comp)
+            if (case == "3d" and cl.exclusive) or (case == "3c" and cl.extreme_in_V):
+                return cls.GradedPrimitiveCase(case, form.u, cyc, form)
+        raise InternalCheckError(
+            f"no cycle through {form.u!r} matches case {case}"
+        )
+    return cls.GradedPrimitiveCase(case, base.v, base.cycle, form)
 
 
 class TestFindBaseVertex:
@@ -81,6 +148,39 @@ class TestFindBaseVertex:
                 if idl.is_proper(g, p):
                     cls.classify_graded_ideal(g, p)
         assert calls == []
+
+
+class TestFirstCycleDecides:
+    def test_matches_all_cycles_scans(self):
+        rng = random.Random(57)
+        sweep = itertools.chain(
+            CATALOG.values(),
+            three_vertex_graphs(),
+            (random_graph(rng) for _ in range(300)),
+        )
+        seen = Counter()
+        for g in sweep:
+            complements = set()
+            for p in idl.enumerate_admissible_pairs(g):
+                if not idl.is_proper(g, p):
+                    continue
+                comp = g.vertices - p.H
+                if comp not in complements:
+                    complements.add(comp)
+                    for v in cls._base_vertices(g, comp):
+                        base = cls.classify_base_vertex(g, comp, v)
+                        assert base == all_cycles_classify_base_vertex(g, comp, v)
+                        seen[base.kind] += 1
+                case = cls.evaluate_by_cases(g, p)
+                assert case == all_cycles_evaluate_by_cases(g, p)
+                seen[case.case, case.s_form and case.s_form.kind] += 1
+                if case.reason and "shares no cycle" in case.reason:
+                    seen["u is no base vertex"] += 1
+        for key in (
+            "no_edges_out", "extreme_cycle", "exclusive_cycle",
+            ("3c", "minus"), ("3d", "minus"), "u is no base vertex",
+        ):
+            assert seen[key] > 0, key
 
 
 class TestClassifyGradedIdeal:

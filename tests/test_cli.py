@@ -478,6 +478,10 @@ MALFORMED = {
     ),
     "json unknown section": (json.dumps({**V_LOOP_JSON, "loops": {}}), ["pairs", "FILE"]),
     "json edges as a list": (json.dumps({"vertices": ["v"], "edges": []}), ["pairs", "FILE"]),
+    "json bundle to an undeclared vertex": (
+        json.dumps({"vertices": ["v"], "bundles": {"b": ["v", "w"]}}), ["pairs", "FILE"]
+    ),
+    "text edge from an undeclared vertex": ("vertex v\nedge e u v\n", ["pairs", "FILE"]),
     "json path of a number": (json.dumps({**V_LOOP_JSON, "paths": {"p": 3}}), ["pairs", "FILE"]),
     "empty rational-tail prefix": (
         G2_TEXT, ["ann", "FILE", "--module", "valpha:rat::c"]
