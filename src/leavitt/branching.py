@@ -300,8 +300,10 @@ def annihilation_check(
     Window escapes are recorded per element, not fatal; equality failures
     carry (generator, basis element, image)."""
     report = AnnihilationReport()
-    window = list(sys.enumerate(t))
+    window = None  # enumerated for the first generator, if there is one
     for a in gens:
+        if window is None:
+            window = list(sys.enumerate(t))
         for x in window:
             try:
                 img = act(sys, a, ModuleVector.unit(x, a.field), t)

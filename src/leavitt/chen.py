@@ -471,19 +471,33 @@ class IrrationalTailSystem(BranchingSystem):
     def __init__(self, g: Graph, rule: IrrationalRule):
         self.graph = g
         self.rule = rule
+        self._edges = [None]  # _edges[i] = rule.edge_at(i), as far as asked
+
+    def _edge_at(self, i: int):
+        """rule.edge_at(i), each position computed once per system."""
+        edges = self._edges
+        if i < 1:
+            return self.rule.edge_at(i)  # which raises: positions start at 1
+        while len(edges) <= i:
+            edges.append(self.rule.edge_at(len(edges)))
+        return edges[i]
+
+    def _vertex_at(self, m: int) -> str:
+        """rule.vertex_at(m) for m >= 0: the source of edge m + 1."""
+        return self.graph.src(self._edge_at(m + 1))
 
     def _canonical(self, q: Path, m: int) -> TailElement:
-        while m >= 1 and q.steps and q.steps[-1] == self.rule.edge_at(m):
+        while m >= 1 and q.steps and q.steps[-1] == self._edge_at(m):
             q = q.drop_last()
             m -= 1
         return TailElement(q, m)
 
     def enumerate(self, t: Truncation):
-        anchors = [self.rule.vertex_at(m) for m in range(t.max_path_length + 1)]
+        anchors = [self._vertex_at(m) for m in range(t.max_path_length + 1)]
         paths = _paths_by_end(self.graph, t, anchors)
         for m, anchor in enumerate(anchors):
             for q in paths[anchor]:
-                if m >= 1 and q.steps and q.steps[-1] == self.rule.edge_at(m):
+                if m >= 1 and q.steps and q.steps[-1] == self._edge_at(m):
                     continue
                 yield TailElement(q, m)
 
@@ -496,7 +510,7 @@ class IrrationalTailSystem(BranchingSystem):
     def member_edge(self, x: TailElement, ref) -> bool:
         if x.q.steps:
             return x.q.steps[0] == ref
-        return self.rule.edge_at(x.m + 1) == ref
+        return self._edge_at(x.m + 1) == ref
 
     def sigma(self, ref, x: TailElement) -> TailElement:
         return self._canonical(_edge_path(self.graph, ref).concat(x.q), x.m)
@@ -506,7 +520,7 @@ class IrrationalTailSystem(BranchingSystem):
             raise InputError("element is not in this edge fiber")
         if x.q.steps:
             return self._canonical(x.q.drop_first(), x.m)
-        return TailElement(vertex_path(self.rule.vertex_at(x.m + 1)), x.m + 1)
+        return TailElement(vertex_path(self._vertex_at(x.m + 1)), x.m + 1)
 
     def degree(self, x: TailElement) -> int:
         return len(x.q) - x.m

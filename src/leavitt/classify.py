@@ -40,7 +40,7 @@ from .graphs import (
     Cycle,
     Graph,
     _classify_cycle,
-    _cycles,
+    _first_cycle,
     _root_of,
     breaking_vertices,
     is_downwards_directed,
@@ -81,7 +81,7 @@ def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
     (README, "Notes on semantics"), so the first one decides the case."""
     if not any(g.tgt(ref) in comp for ref in g.out_refs(v, 2)):
         return BaseVertex(v, "no_edges_out", None)
-    c = next((c for c in _cycles(g, 2) if v in c.vertex_set), None)
+    c = _first_cycle(g, frozenset([v]), 2)
     if c is None:
         raise InternalCheckError(
             f"{v!r} emits into the complement but lies on no cycle"
@@ -308,10 +308,7 @@ def chen_witness(g: Graph, record: ClassificationRecord) -> ChenWitness:
     else:  # 3c
         if case.s_form.kind == "full":
             c = case.cycle
-            crossing = next(
-                (d for d in _cycles(g, 2) if d != c and d.vertex_set & c.vertex_set),
-                None,
-            )
+            crossing = _first_cycle(g, c.vertex_set, 2, exclude=c)
             if crossing is None:
                 raise InternalCheckError(
                     f"extreme cycle {c} has no crossing cycle"

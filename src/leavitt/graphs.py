@@ -11,7 +11,6 @@ reaches V and the tree T(V) everything V reaches.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
@@ -38,7 +37,7 @@ class _Analysis:
 
     __slots__ = (
         "cycles",
-        "cycle_counts",
+        "first_cycles",
         "roots",
         "trees",
         "regular_targets",
@@ -51,7 +50,7 @@ class _Analysis:
 
     def __init__(self):
         self.cycles = {}  # bundle_sample -> tuple of cycles, in enumeration order
-        self.cycle_counts = None  # v -> number of sample-1 cycles through v
+        self.first_cycles = {}  # (touch, sample, exclude) -> _first_cycle's answer
         self.roots = {}  # v -> R({v})
         self.trees = {}  # v -> T({v})
         self.regular_targets = None  # regular v -> targets of its edges
@@ -350,11 +349,15 @@ class Cycle:
         return out
 
     def sort_key(self):
-        c = self.canonical()
-        return (len(c), tuple(ref_str(s) for s in c.steps))
+        return _steps_key(self.canonical().steps)
 
     def __str__(self):
         return str(self.path)
+
+
+def _steps_key(steps: tuple) -> tuple:
+    """``Cycle.sort_key`` of the cycle whose canonical steps these are."""
+    return (len(steps), tuple(ref_str(s) for s in steps))
 
 
 def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
@@ -552,6 +555,8 @@ def enumerate_cycles(g: Graph, bundle_sample: int = 1) -> list:
 
 
 def _cycles(g: Graph, bundle_sample: int) -> tuple:
+    if not g.bundles:
+        bundle_sample = 1  # every sample gives the same cycles
     cycles = g._analysis.cycles
     found = cycles.get(bundle_sample)
     if found is None:
@@ -577,7 +582,82 @@ def _enumerate_cycles(g: Graph, bundle_sample: int) -> list:
 
     for v in g.vertex_list:
         extend([], [v])
-    return sorted(cycles, key=Cycle.sort_key)
+    return sorted(cycles, key=lambda c: _steps_key(c.steps))  # c is canonical
+
+
+def _distances_to(g: Graph, t: str) -> dict:
+    """The length of a shortest path from u to t, for every u reaching t."""
+    dist = {t: 0}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in g.predecessors(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    return dist
+
+
+def _first_cycle(
+    g: Graph, touch: frozenset, sample: int, exclude: Optional[Cycle] = None
+) -> Optional[Cycle]:
+    """The least cycle in ``Cycle.sort_key`` order through a vertex of touch,
+    other than exclude, with bundles sampled at indices < sample; None when
+    there is none.  Remembered per graph.
+
+    The search runs one cycle length at a time and stops at the first
+    length that has a cycle, so it meets no longer cycle.  A path of k
+    steps from a start t is extended at u only while k + dist(u, t) stays
+    within the length.
+    """
+    memo = g._analysis.first_cycles
+    key = (touch, sample, exclude)
+    if key in memo:
+        return memo[key]
+    dists = {t: _distances_to(g, t) for t in sorted(touch)}
+    best = None  # (sort key, vertices, steps) of the least cycle so far
+    # A length below the shortest cycle through t prunes every first step.
+    for length in range(1, max(map(len, dists.values())) + 1):
+        for t, dist in dists.items():
+            best = _least_closing(g, t, dist, length, sample, exclude, best)
+        if best is not None:
+            break
+    found = memo[key] = None if best is None else Cycle(Path(best[1], best[2]))
+    return found
+
+
+def _least_closing(g, t, dist, length, sample, exclude, best):
+    """The least of best and the cycles of exactly this length through t
+    other than exclude, as (sort key, canonical vertices, canonical steps)."""
+    verts, steps = [t], []
+
+    def extend(u):
+        nonlocal best
+        k = len(steps) + 1
+        for ref in g.out_refs(u, sample):
+            w = g.tgt(ref)
+            if w == t:
+                if k < length:
+                    continue
+                i = verts.index(min(verts))  # rotate to the least vertex
+                cyc_steps = tuple(steps[i:] + [ref] + steps[:i])
+                if exclude is not None and cyc_steps == exclude.steps:
+                    continue
+                key = _steps_key(cyc_steps)
+                if best is None or key < best[0]:
+                    best = (key, tuple(verts[i:] + verts[: i + 1]), cyc_steps)
+            # a w that cannot reach t gets dist = length, which prunes it
+            elif k + dist.get(w, length) <= length and w not in verts:
+                verts.append(w)
+                steps.append(ref)
+                extend(w)
+                verts.pop()
+                steps.pop()
+
+    extend(t)
+    return best
 
 
 def cycle_exits(g: Graph, c: Cycle) -> list:
@@ -598,18 +678,45 @@ def cycle_exits(g: Graph, c: Cycle) -> list:
     return exits
 
 
+def _exitless_cycles(g: Graph, V: frozenset) -> list:
+    """The cycles inside V with no exit landing in V, least first in
+    ``Cycle.sort_key`` order.
+
+    Such a cycle is a strongly connected component of G[V] in which every
+    vertex has exactly one sample-1 ref into V, an ordinary edge that stays
+    in the component; a bundle step always leaves a parallel copy as an
+    exit.  So these are the cycles of the partial map that sends a vertex
+    to the target of its one ref into V, when that ref is an ordinary edge.
+    """
+    only_edge = {}
+    for v in V:
+        into = [ref for ref in g.out_refs(v) if g.tgt(ref) in V]
+        if len(into) == 1 and not is_bundle_ref(into[0]):
+            only_edge[v] = into[0]
+    cycles, seen = [], set()
+    for v in sorted(only_edge):
+        walk = {}  # vertex -> position on this walk
+        while v in only_edge and v not in seen:
+            seen.add(v)
+            walk[v] = len(walk)
+            v = g.tgt(only_edge[v])
+        if v in walk:  # the walk closed on itself
+            sources = list(walk)[walk[v]:]
+            i = sources.index(min(sources))
+            sources = sources[i:] + sources[:i]
+            steps = tuple(only_edge[u] for u in sources)
+            cycles.append(Cycle(Path(tuple(sources) + (sources[0],), steps)))
+    return sorted(cycles, key=lambda c: _steps_key(c.steps))
+
+
 def has_condition_L(g: Graph, V: Iterable[str]):
     """Every cycle inside V needs an exit landing in V.
 
-    Returns (True, None) or (False, exitless_cycle).
+    Returns (True, None) or (False, exitless_cycle), the least exitless
+    cycle in ``Cycle.sort_key`` order.
     """
-    V = g.check_vertices(V)
-    for c in _cycles(g, 1):
-        if not c.vertex_set <= V:
-            continue
-        if not any(g.tgt(ref) in V for ref in cycle_exits(g, c)):
-            return False, c
-    return True, None
+    exitless = _exitless_cycles(g, g.check_vertices(V))
+    return (False, exitless[0]) if exitless else (True, None)
 
 
 @dataclass(frozen=True)
@@ -619,14 +726,6 @@ class CycleClassification:
     extreme_in_V: bool
     no_exit_in_V: bool
     escape: Optional[str] = None  # vertex witnessing a non-returning escape
-
-
-def _cycle_counts(g: Graph) -> Counter:
-    """The number of sample-1 cycles through each vertex, once per graph."""
-    analysis = g._analysis
-    if analysis.cycle_counts is None:
-        analysis.cycle_counts = Counter(v for c in _cycles(g, 1) for v in c.sources)
-    return analysis.cycle_counts
 
 
 def _induced(adjacency, V: frozenset):
@@ -654,13 +753,16 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
 
 def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
     """classify_cycle, trusting that c is a cycle of g inside V, a set of g."""
+    on_cycle = c.vertex_set
     if any(is_bundle_ref(s) for s in c.steps):
         exclusive = False
     else:
-        # c is itself one of the sample-1 cycles, so it is exclusive exactly
-        # when no other cycle passes through any of its vertices.
-        counts = _cycle_counts(g)
-        exclusive = all(counts[v] == 1 for v in c.sources)
+        # No other cycle passes through a vertex of c exactly when each
+        # vertex of c has one sample-1 ref into c and c is the strongly
+        # connected component T(v) & R(v) of its vertices.
+        exclusive = all(
+            sum(g.tgt(ref) in on_cycle for ref in g.out_refs(v)) == 1 for v in c.sources
+        ) and _tree_of(g, c.base) & _root_of(g, c.base) == on_cycle
 
     exits_in_V = [ref for ref in cycle_exits(g, c) if g.tgt(ref) in V]
     no_exit_in_V = not exits_in_V
@@ -670,7 +772,6 @@ def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
     if exits_in_V:
         # An escape is a vertex the cycle reaches inside V that cannot get
         # back to the cycle inside V.
-        on_cycle = c.vertex_set
         escapes = _closure(_induced(g.successors, V), on_cycle) - _closure(
             _induced(g.predecessors, V), on_cycle
         )
@@ -690,12 +791,7 @@ def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
 
 def exitless_cycle_vertices(g: Graph) -> dict:
     """Vertices lying on a cycle with no exits at all, mapped to that cycle."""
-    out = {}
-    for c in _cycles(g, 1):
-        if not cycle_exits(g, c):
-            for v in c.sources:
-                out[v] = c
-    return out
+    return {v: c for c in _exitless_cycles(g, g.vertices) for v in c.sources}
 
 
 def enumerate_paths(

@@ -162,6 +162,15 @@ class TestAnnihilationCheck:
         _, sys = nc_system(G1)
         assert annihilation_check(sys, [], T).passed
 
+        # the window is enumerated for the first generator, so with none
+        # it is never enumerated
+        def refuse(t):
+            raise AssertionError("window enumerated")
+
+        sys.enumerate = refuse
+        rep = annihilation_check(sys, [], T)
+        assert rep.passed and rep.checked == 0 and not rep.overflows
+
 
 class TestDegreeHistogram:
     def test_nc_g1_one_per_degree(self):

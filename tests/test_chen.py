@@ -578,12 +578,21 @@ class TestVAlphaSystems:
         names = {str(x) for x in sys.enumerate(Truncation(2, 2))}
         assert "v(c)^inf" in names and "e(c)^inf" in names
 
-    def test_irrational_graded(self):
+    def test_irrational_graded(self, monkeypatch):
         c0, c1 = enumerate_cycles(G4, 2)
         rule = chen.irrational_rule(G4, c0, c1)
         sys = chen.build_module(G4, chen.valpha_module(G4, rule))
+        positions = []
+        edge_at = chen.IrrationalRule.edge_at
+        monkeypatch.setattr(
+            chen.IrrationalRule,
+            "edge_at",
+            lambda self, i: positions.append(i) or edge_at(self, i),
+        )
         rep = check_axioms(sys, Truncation(3, 2))
         assert rep.axioms_1_to_4 and rep.perfect and rep.saturated and rep.graded
+        # the system computes each position of the rule's word once
+        assert sorted(positions) == list(range(1, len(positions) + 1))
 
     def test_irrational_canonical_forms(self):
         d, e = enumerate_cycles(G5)

@@ -1,11 +1,14 @@
 import dataclasses
+import importlib.util
 import itertools
+import json
+import pathlib
 import random
 from collections import Counter
 
 import pytest
 
-from leavitt import chen, graphs
+from leavitt import chen, cli, graphs
 from leavitt import classify as cls
 from leavitt import ideals as idl
 from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
@@ -14,10 +17,12 @@ from leavitt.graphs import (
     Graph,
     breaking_vertices,
     enumerate_cycles,
+    exitless_cycle_vertices,
     has_condition_L,
     is_downwards_directed,
     root,
 )
+from leavitt.graphio import parse_graph_document
 from smallgraphs import three_vertex_graphs
 
 
@@ -381,3 +386,39 @@ class TestChenWitness:
         assert w.kind == "extreme_cycle"
         assert isinstance(w.descriptor, chen.InfEmitterModule)
         assert chen.return_edge_count(g, "u") == 1
+
+
+def _bench_inputs():
+    """The benchmark's seeded input generators, bench/inputs.py, loaded
+    read-only by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestNoCycleEnumeration:
+    def test_classify_all_lists_no_cycles(self, monkeypatch, tmp_path, capsys):
+        # K_12 plus a sink has about 10^8 simple cycles, so listing them
+        # would not finish; classify finds each cycle it needs by search.
+        def refuse(*args):
+            raise AssertionError("cycles were enumerated")
+
+        monkeypatch.setattr(graphs, "_enumerate_cycles", refuse)
+        inputs = _bench_inputs()
+        cases = {
+            "k12": (inputs.complete_plus_sink(12), ["3b", "3c"]),
+            "dense40": (inputs.random_dense(random.Random(4), 40, 100, 3), None),
+        }
+        for name, (desc, want_cases) in cases.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(inputs.graph_text(desc))
+            assert cli.main(["--json", "classify", str(path), "--all"]) == 0
+            records = json.loads(capsys.readouterr().out)["records"]
+            assert records
+            if want_cases is not None:
+                assert [r["case"] for r in records] == want_cases
+            g = parse_graph_document(path.read_text()).graph
+            assert has_condition_L(g, g.vertices) == (True, None)
+            assert exitless_cycle_vertices(g) == {}

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,17 @@ from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6, random_graph
 from leavitt.errors import InputError
 from leavitt.graphs import (
     Graph,
+    _classify_cycle,
     _closure,
+    _cycles,
     _enumerate_cycles,
+    _first_cycle,
     breaking_vertices,
     classify_cycle,
     cycle_exits,
     enumerate_cycles,
     enumerate_paths,
+    exitless_cycle_vertices,
     has_condition_L,
     has_icsp,
     hereditary_saturated_closure,
@@ -28,6 +34,7 @@ from leavitt.graphs import (
     tree,
     vertex_path,
 )
+from smallgraphs import three_vertex_graphs
 
 LINE = Graph(["a", "b"], edges={"x": ("a", "b")})
 TWO_SINKS = Graph(["a", "b"])
@@ -402,6 +409,8 @@ class TestAnalysisCache:
                 # built directly; make_cycle validates and rotates as before
                 for c in _enumerate_cycles(g, s):
                     assert make_cycle(g, c.base, c.steps) == c
+            if not g.bundles:  # every sample gives the same cycles
+                assert _cycles(g, 2) is _cycles(g, 1)
 
     def test_adjacency_matches_edge_tables(self):
         for g in _oracle_graphs():
@@ -486,3 +495,102 @@ class TestAnalysisCache:
             root(g, ["w", "nope"])
         with pytest.raises(InputError):
             tree(g, ["nope"])
+
+
+# The enumeration routes that the length-ordered search and the SCC criteria
+# replaced, kept verbatim (less the per-graph cache) as their oracle.
+
+
+def _cycle_counts(g):
+    """The number of sample-1 cycles through each vertex."""
+    return Counter(v for c in _cycles(g, 1) for v in c.sources)
+
+
+def enumerated_has_condition_L(g, V):
+    V = g.check_vertices(V)
+    for c in _cycles(g, 1):
+        if not c.vertex_set <= V:
+            continue
+        if not any(g.tgt(ref) in V for ref in cycle_exits(g, c)):
+            return False, c
+    return True, None
+
+
+def enumerated_exitless_cycle_vertices(g):
+    out = {}
+    for c in _cycles(g, 1):
+        if not cycle_exits(g, c):
+            for v in c.sources:
+                out[v] = c
+    return out
+
+
+class TestCycleSearchOracle:
+    """Every predicate that lists no cycles agrees with the enumeration on
+    all 5,120 three-vertex graphs and 300 seeded seven-vertex graphs."""
+
+    @staticmethod
+    def sweep():
+        rng = random.Random(123)
+        return itertools.chain(
+            three_vertex_graphs(), (random_graph(rng, 7, 14, 2) for _ in range(300))
+        )
+
+    def test_first_cycle_is_least_in_sort_key_order(self):
+        seen = Counter()
+        for g in self.sweep():
+            for s in (1, 2):
+                cycles = _cycles(g, s)
+                for v in g.vertex_list:
+                    thru = [c for c in cycles if v in c.vertex_set]
+                    assert _first_cycle(g, frozenset([v]), s) == (thru[0] if thru else None)
+                    seen["tied"] += len(thru) > 1 and len(thru[0]) == len(thru[1])
+                for c in cycles:
+                    want = next(
+                        (d for d in cycles if d != c and d.vertex_set & c.vertex_set), None
+                    )
+                    assert _first_cycle(g, c.vertex_set, s, exclude=c) == want
+                    seen["crossing"] += want is not None
+                    seen["alone"] += want is None
+        assert min(seen.values()) > 100, seen
+
+    def test_first_cycle_is_remembered(self):
+        g = Graph(G5.vertices, G5.edges)
+        c = _first_cycle(g, frozenset("v"), 2)
+        assert str(c) == "d" and _first_cycle(g, frozenset("v"), 2) is c
+        assert str(_first_cycle(g, frozenset("v"), 2, exclude=c)) == "e"
+        assert _first_cycle(LINE, frozenset("ab"), 2) is None
+
+    def test_exclusivity_matches_cycle_counts(self):
+        seen = Counter()
+        for g in self.sweep():
+            counts = _cycle_counts(g)
+            for c in _cycles(g, 2):
+                want = not any(is_bundle_ref(s) for s in c.steps) and all(
+                    counts[v] == 1 for v in c.sources
+                )
+                assert _classify_cycle(g, c, g.vertices).exclusive == want
+                seen[want] += 1
+        assert seen[True] > 100 and seen[False] > 100, seen
+
+    def test_condition_L_and_exitless_vertices_match_enumeration(self):
+        rng = random.Random(9)
+        seen = Counter()
+        for g in self.sweep():
+            if len(g.vertices) <= 3:
+                subsets = [
+                    V for n in range(4) for V in itertools.combinations(g.vertex_list, n)
+                ]
+            else:
+                subsets = [g.vertices] + [
+                    [v for v in g.vertex_list if rng.random() < 0.6] for _ in range(3)
+                ]
+            for V in subsets:
+                want = enumerated_has_condition_L(g, V)
+                assert has_condition_L(g, V) == want
+                seen[want[0]] += 1
+            want = enumerated_exitless_cycle_vertices(g)
+            got = exitless_cycle_vertices(g)
+            assert got == want and list(got) == list(want)
+            seen["exitless"] += bool(want)
+        assert min(seen.values()) > 100, seen
