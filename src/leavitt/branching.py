@@ -103,6 +103,8 @@ class ModuleVector:
         )
 
     def __add__(self, other):
+        if self.field != other.field:
+            raise InputError("vectors live over different fields")
         terms = dict(self.terms)
         for x, k in other.terms.items():
             s = terms.get(x, self.field.zero) + k
@@ -211,11 +213,10 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
                         report.note("axiom3", (x, e))
                     elif sys.sigma_inv(e, y) != x:
                         report.note("axiom3", (x, e, "inverse mismatch"))
+                    if sys.graded and sys.degree(y) != sys.degree(x) + 1:
+                        report.note("graded", (x, e))
                 else:
                     report.overflow_notes.append((e, x))
-                if sys.graded and sys.in_window(y, t):
-                    if sys.degree(y) != sys.degree(x) + 1:
-                        report.note("graded", (x, e))
             if sys.member_edge(x, e):
                 x2 = sys.sigma_inv(e, x)
                 if sys.in_window(x2, t):
@@ -270,6 +271,8 @@ def act(
 
     Raises WindowOverflow (naming the escaping element) if any intermediate
     basis element leaves the window."""
+    if a.graph != sys.graph:
+        raise InputError("element and system live over different graphs")
     if a.field != m.field:
         raise InputError("element and vector fields differ")
     out = ModuleVector(m.field)

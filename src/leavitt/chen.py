@@ -30,7 +30,6 @@ from .graphs import (
     check_cycle,
     classify_cycle,
     enumerate_paths,
-    is_bundle_ref,
     make_path,
     rational_tail,
     ref_str,
@@ -51,13 +50,38 @@ from .ideals import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ReducedPair:
     """Basis element p.q* of an N_c system: q runs inside the cycle from the
-    chosen basepoint, and p does not end with q's last edge."""
+    chosen basepoint, and p does not end with q's last edge.
 
-    p: Path
-    q: Path
+    A value object like ``graphs.Path``: a hash kept after first use,
+    immutable by convention (no ``__setattr__`` guard), pickled from its
+    fields.
+    """
+
+    __slots__ = ("p", "q", "_hash")
+
+    def __init__(self, p: Path, q: Path):
+        self.p = p
+        self.q = q
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not ReducedPair:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.p, self.q))
+        return h
+
+    def __repr__(self):
+        return f"ReducedPair(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return (ReducedPair, (self.p, self.q))
 
     @property
     def degree(self) -> int:
@@ -308,9 +332,14 @@ def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
 
 def _fits(p: Path, t: Truncation) -> bool:
     """The window's test of one path: its length, and its bundle indices."""
-    return len(p) <= t.max_path_length and all(
-        not is_bundle_ref(s) or s[1] < t.bundle_sample for s in p.steps
-    )
+    steps = p.steps
+    if len(steps) > t.max_path_length:
+        return False
+    bound = t.bundle_sample
+    for s in steps:
+        if s.__class__ is tuple and s[1] >= bound:  # a bundle ref (a tuple) outside the sample
+            return False
+    return True
 
 
 def _paths_by_end(g: Graph, t: Truncation, ends) -> dict:
@@ -452,13 +481,38 @@ class RationalTailSystem(BranchingSystem):
         return RationalTailSpec(vertex_path(nxt), x.cycle.rotate_to(nxt))
 
 
-@dataclass(frozen=True)
 class TailElement:
     """A path tail-equivalent to an irrational rule path: a finite prepend q
-    followed by the rule path shifted m edges, with m minimal."""
+    followed by the rule path shifted m edges, with m minimal.
 
-    q: Path
-    m: int
+    A value object like ``graphs.Path``: a hash kept after first use,
+    immutable by convention (no ``__setattr__`` guard), pickled from its
+    fields.
+    """
+
+    __slots__ = ("q", "m", "_hash")
+
+    def __init__(self, q: Path, m: int):
+        self.q = q
+        self.m = m
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not TailElement:
+            return NotImplemented
+        return self.q == other.q and self.m == other.m
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.q, self.m))
+        return h
+
+    def __repr__(self):
+        return f"TailElement(q={self.q!r}, m={self.m!r})"
+
+    def __reduce__(self):
+        return (TailElement, (self.q, self.m))
 
     def __str__(self):
         base = f"shift^{self.m}(alpha)"
@@ -526,13 +580,38 @@ class IrrationalTailSystem(BranchingSystem):
         return len(x.q) - x.m
 
 
-@dataclass(frozen=True)
 class NaivePair:
     """Formal p.q* pair without the shared-range requirement; the historical
-    non-example whose axiom (4) fails."""
+    non-example whose axiom (4) fails.
 
-    p: Path
-    q: Path
+    A value object like ``graphs.Path``: a hash kept after first use,
+    immutable by convention (no ``__setattr__`` guard), pickled from its
+    fields.
+    """
+
+    __slots__ = ("p", "q", "_hash")
+
+    def __init__(self, p: Path, q: Path):
+        self.p = p
+        self.q = q
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not NaivePair:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.p, self.q))
+        return h
+
+    def __repr__(self):
+        return f"NaivePair(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return (NaivePair, (self.p, self.q))
 
     def __str__(self):
         return f"({self.p}).({self.q})*"

@@ -190,16 +190,42 @@ class Graph:
         return a.predecessors[v]
 
 
-@dataclass(frozen=True)
 class Path:
     """A finite path: the vertex sequence plus the edge refs between them.
 
     A single-vertex path has no steps.  ``vertices`` always has one more
     entry than ``steps``.
+
+    A value object: equal fields make equal paths, of this class only.  The
+    hash is computed on first use and kept.  Paths are immutable by
+    convention: no code assigns to a built path, and no ``__setattr__``
+    guard enforces it, because one would cost more than the hash saves.
+    Pickling rebuilds from the fields, so no hash crosses processes.
     """
 
-    vertices: tuple
-    steps: tuple
+    __slots__ = ("vertices", "steps", "_hash")
+
+    def __init__(self, vertices: tuple, steps: tuple):
+        self.vertices = vertices
+        self.steps = steps
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.vertices == other.vertices and self.steps == other.steps
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vertices, self.steps))
+        return h
+
+    def __repr__(self):
+        return f"Path(vertices={self.vertices!r}, steps={self.steps!r})"
+
+    def __reduce__(self):
+        return (Path, (self.vertices, self.steps))
 
     @property
     def start(self) -> str:
@@ -378,17 +404,40 @@ def check_cycle(g: Graph, c: Cycle) -> Cycle:
     return c
 
 
-@dataclass(frozen=True)
 class RationalTailSpec:
     """A rational infinite path: a finite prefix followed by c, c, c, ...
 
     Canonical form: the prefix never ends with the cycle edge that enters
     its endpoint, and the cycle is rotated so its base is the prefix end.
     This makes representatives of tail-equivalent paths unique.
+
+    A value object like ``Path``: a hash kept after first use, immutable
+    by convention, pickled from its fields.
     """
 
-    prefix: Path
-    cycle: Cycle
+    __slots__ = ("prefix", "cycle", "_hash")
+
+    def __init__(self, prefix: Path, cycle: Cycle):
+        self.prefix = prefix
+        self.cycle = cycle
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not RationalTailSpec:
+            return NotImplemented
+        return self.prefix == other.prefix and self.cycle == other.cycle
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.prefix, self.cycle))
+        return h
+
+    def __repr__(self):
+        return f"RationalTailSpec(prefix={self.prefix!r}, cycle={self.cycle!r})"
+
+    def __reduce__(self):
+        return (RationalTailSpec, (self.prefix, self.cycle))
 
     @property
     def vertex_support(self) -> frozenset:

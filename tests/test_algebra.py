@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,8 @@ from leavitt import algebra as alg
 from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
 from leavitt.errors import InputError
 from leavitt.fields import QQ, ModInt, PrimeField, field_from_spec
-from leavitt.graphs import _edge_path, enumerate_paths, make_path, vertex_path
+from leavitt.graphs import Path, _edge_path, enumerate_paths, make_path, vertex_path
+from valueobjects import check_value_object
 
 
 E1 = make_path(G1, "v", ["e"])
@@ -80,6 +82,47 @@ class TestMonomialConstruction:
                     build(G2, ref)
         with pytest.raises(InputError, match="unknown vertex"):
             alg.vertex(G2, "nope")
+
+
+# The frozen-dataclass Monomial that algebra.Monomial replaced: its
+# decorator, docstring and fields verbatim, without the methods, which
+# equality, hashing and repr do not use.  The oracle for the slotted class.
+@dataclass(frozen=True)
+class Monomial:
+    """p.q* with r(p) = r(q); the star reverses q."""
+
+    p: Path
+    q: Path
+
+
+class TestMonomialValue:
+    def test_contract(self):
+        p, q = make_path(G3, "u", ["e", "c"]), make_path(G3, "v", ["c"])
+        check_value_object(
+            alg.Monomial,
+            (p, q),
+            (make_path(G3, "u", ["e"]), vertex_path("v")),
+            "Monomial(p=Path(vertices=('u', 'v', 'v'), steps=('e', 'c')), "
+            "q=Path(vertices=('v', 'v'), steps=('c',)))",
+            strangers=[Monomial(p, q), (p, q)],
+        )
+
+    def test_agrees_with_the_dataclass(self):
+        rng = random.Random(23)
+        pairs = []
+        for g in CATALOG.values():
+            paths = list(enumerate_paths(g, 3, 2))
+            pairs += [(p, q) for p in paths for q in paths if p.end == q.end]
+        equal = 0
+        for _ in range(3000):
+            a = alg.Monomial(*rng.choice(pairs))
+            b = alg.Monomial(*rng.choice(pairs)) if rng.random() < 0.7 else a.star().star()
+            old_a, old_b = Monomial(a.p, a.q), Monomial(b.p, b.q)
+            assert (a == b) == (old_a == old_b)
+            assert (hash(a) == hash(b)) == (hash(old_a) == hash(old_b))
+            assert hash(a) == hash(old_a) and repr(a) == repr(old_a)
+            equal += a == b
+        assert 0 < equal < 3000
 
 
 class TestStar:

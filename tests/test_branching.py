@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from leavitt.branching import (
     check_axioms,
     degree_histogram,
 )
-from leavitt.catalog import G1, G2, G3, G4
+from leavitt.catalog import G1, G2, G3, G4, G5, G6
 from leavitt.errors import InputError, MalformedSystem, WindowOverflow
+from leavitt.fields import QQ, PrimeField
 from leavitt.graphs import enumerate_cycles, enumerate_paths, vertex_path
 
 T = Truncation(4, 2)
@@ -64,6 +66,27 @@ class TestCheckAxioms:
 
         with pytest.raises(MalformedSystem):
             check_axioms(Dup(G2, "w"), T)
+
+    def test_one_window_test_per_image(self, monkeypatch):
+        c0, c1 = enumerate_cycles(G4, 2)
+        sys = chen.build_module(G4, chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1)))
+        t = Truncation(7, 3)
+        window, refs = list(sys.enumerate(t)), sys.edge_refs(t)
+        images = sum(sys.member_vertex(x, G4.tgt(e)) for e in refs for x in window)
+        preimages = sum(sys.member_edge(x, e) for e in refs for x in window)
+        calls = Counter()
+        for name in ("in_window", "sigma", "sigma_inv"):
+            method = getattr(sys, name)
+            monkeypatch.setattr(
+                sys, name, lambda *a, _n=name, _m=method: calls.update([_n]) or _m(*a)
+            )
+        rep = check_axioms(sys, t)
+        # one in_window per sigma(e, x) for x in X_r(e), one per sigma_inv(e, x)
+        # for x in X_e: the graded test reuses the axiom (3) test's answer
+        assert calls["in_window"] == images + preimages == 74_356
+        assert calls["sigma"] == 74_355 and calls["sigma_inv"] == 37_177
+        assert len(window) == 18_589 and len(rep.overflow_notes) == 37_180
+        assert rep.axioms_1_to_4 and rep.graded
 
 
 class TestAct:
@@ -141,6 +164,13 @@ class TestAct:
         out = act(sys, alg.zero(G1), ModuleVector.unit(sys.basis_vertex()), T)
         assert out.is_zero
 
+    def test_element_over_another_graph_rejected(self):
+        _, sys = nc_system(G6)
+        x = ModuleVector.unit(sys.basis_vertex())
+        for a in (alg.vertex(G5, "v"), alg.edge(G5, "d")):
+            with pytest.raises(InputError):
+                act(sys, a, x, T)
+
 
 class TestAnnihilationCheck:
     def test_g3_annihilator_passes(self):
@@ -215,6 +245,14 @@ class TestModuleVector:
         m = ModuleVector.unit(x) + ModuleVector.unit(y).scale(2)
         assert m.terms[y] == 2
         assert (m - m).is_zero
+
+    def test_fields_do_not_mix(self):
+        x = vertex_path("v")
+        rational, mod7 = ModuleVector.unit(x, QQ), ModuleVector.unit(x, PrimeField(7))
+        with pytest.raises(InputError):
+            rational + mod7
+        with pytest.raises(InputError):
+            mod7 - rational
 
     def test_homogeneity(self):
         d = chen.sink_module(G2, "w")

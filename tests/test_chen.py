@@ -14,6 +14,7 @@ from leavitt.graphs import (
     RationalTailSpec,
     enumerate_cycles,
     enumerate_paths,
+    is_bundle_ref,
     make_path,
     rational_tail,
     root,
@@ -21,6 +22,7 @@ from leavitt.graphs import (
 )
 from leavitt.ideals import GradedIdeal, NonGradedPrimitiveIdeal, admissible_pair
 from leavitt.verification import catalog_modules
+from valueobjects import check_value_object
 
 T = Truncation(5, 2)
 
@@ -234,6 +236,69 @@ class TestWindowOrder:
                 ]
                 assert list(chen._windowed_pairs(g, d, t)) == want, d
         assert seen == set(kinds)
+
+
+class TestBasisValues:
+    P = make_path(G6, "v", ["f"])
+    Q = make_path(G6, "v", ["f", "g", "f"])
+
+    def test_reduced_pair(self):
+        p, q = self.P, self.Q
+        check_value_object(
+            chen.ReducedPair,
+            (p, q),
+            (vertex_path("w"), vertex_path("v")),
+            "ReducedPair(p=Path(vertices=('v', 'w'), steps=('f',)), "
+            "q=Path(vertices=('v', 'w', 'v', 'w'), steps=('f', 'g', 'f')))",
+            strangers=[alg.Monomial(p, q), chen.NaivePair(p, q)],
+        )
+
+    def test_naive_pair(self):
+        p, q = self.P, self.Q
+        check_value_object(
+            chen.NaivePair,
+            (p, q),
+            (vertex_path("w"), vertex_path("v")),
+            "NaivePair(p=Path(vertices=('v', 'w'), steps=('f',)), "
+            "q=Path(vertices=('v', 'w', 'v', 'w'), steps=('f', 'g', 'f')))",
+            strangers=[alg.Monomial(p, q), chen.ReducedPair(p, q)],
+        )
+
+    def test_tail_element(self):
+        q = make_path(G4, "v", [("b", 2)])
+        check_value_object(
+            chen.TailElement,
+            (q, 3),
+            (vertex_path("v"), 4),
+            "TailElement(q=Path(vertices=('v', 'v'), steps=(('b', 2),)), m=3)",
+            strangers=[chen.ReducedPair(q, vertex_path("v")), (q, 3)],
+        )
+
+
+def _fits_genexpr(p, t):
+    """chen._fits as a generator over the steps, verbatim from before it
+    became a plain loop: the oracle for the window test."""
+    return len(p) <= t.max_path_length and all(
+        not is_bundle_ref(s) or s[1] < t.bundle_sample for s in p.steps
+    )
+
+
+class TestWindowTest:
+    @pytest.mark.parametrize("t", [Truncation(4, 1), Truncation(4, 2), Truncation(7, 3)])
+    def test_fits_matches_the_genexpr(self, t):
+        inside = outside = 0
+        for g in CATALOG.values():
+            # one step longer and one bundle index further than the window
+            for p in enumerate_paths(g, t.max_path_length + 1, t.bundle_sample + 1):
+                fits = chen._fits(p, t)
+                assert fits == _fits_genexpr(p, t), p
+                inside += fits
+                outside += not fits
+        assert inside and outside
+        last = ("b", t.bundle_sample - 1)
+        assert chen._fits(make_path(G4, "v", [last] * t.max_path_length), t)
+        assert not chen._fits(make_path(G4, "v", [last, ("b", t.bundle_sample)]), t)
+        assert not chen._fits(make_path(G4, "v", [last] * (t.max_path_length + 1)), t)
 
 
 class TestAnnihilators:

@@ -1,14 +1,17 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leavitt import graphs
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6, random_graph
 from leavitt.errors import InputError
 from leavitt.graphs import (
     Graph,
+    RationalTailSpec,
     _classify_cycle,
     _closure,
     _cycles,
@@ -35,6 +38,7 @@ from leavitt.graphs import (
     vertex_path,
 )
 from smallgraphs import three_vertex_graphs
+from valueobjects import check_value_object
 
 LINE = Graph(["a", "b"], edges={"x": ("a", "b")})
 TWO_SINKS = Graph(["a", "b"])
@@ -370,6 +374,59 @@ class TestPathsAndSpecs:
         assert {"v", "w", "c", "b[0]", "b[1]", "cc"} <= strs
         assert "b[2]" not in strs
         assert all(len(p) <= 2 for p in paths)
+
+
+# The frozen-dataclass Path that graphs.Path replaced: its decorator,
+# docstring and fields verbatim, without the methods, which equality,
+# hashing and repr do not use.  The oracle for the slotted Path.
+@dataclass(frozen=True)
+class Path:
+    """A finite path: the vertex sequence plus the edge refs between them.
+
+    A single-vertex path has no steps.  ``vertices`` always has one more
+    entry than ``steps``.
+    """
+
+    vertices: tuple
+    steps: tuple
+
+
+class TestValueObjects:
+    def test_path_contract(self):
+        p = make_path(G3, "u", ["e", "c"])
+        check_value_object(
+            graphs.Path,
+            (p.vertices, p.steps),
+            (("u", "v", "w"), ("e", ("b", 0))),
+            "Path(vertices=('u', 'v', 'v'), steps=('e', 'c'))",
+            strangers=[Path(p.vertices, p.steps), (p.vertices, p.steps)],
+        )
+
+    def test_rational_tail_spec_contract(self):
+        c3 = make_cycle(G3, "v", ["c"])
+        spec = rational_tail(G3, make_path(G3, "u", ["e"]), c3)
+        check_value_object(
+            RationalTailSpec,
+            (spec.prefix, spec.cycle),
+            (vertex_path("v"), make_cycle(G1, "v", ["e"])),
+            "RationalTailSpec(prefix=Path(vertices=('u', 'v'), steps=('e',)), "
+            "cycle=Cycle(path=Path(vertices=('v', 'v'), steps=('c',))))",
+            strangers=[(spec.prefix, spec.cycle)],
+        )
+
+    def test_path_agrees_with_the_dataclass(self):
+        rng = random.Random(17)
+        paths = [p for g in CATALOG.values() for p in enumerate_paths(g, 4, 2)]
+        equal = 0
+        for _ in range(3000):
+            a = rng.choice(paths)
+            b = rng.choice(paths) if rng.random() < 0.7 else graphs.Path(a.vertices, a.steps)
+            old_a, old_b = Path(a.vertices, a.steps), Path(b.vertices, b.steps)
+            assert (a == b) == (old_a == old_b)
+            assert (hash(a) == hash(b)) == (hash(old_a) == hash(old_b))
+            assert hash(a) == hash(old_a) and repr(a) == repr(old_a)
+            equal += a == b
+        assert 0 < equal < 3000
 
 
 class TestGraphValidation:
