@@ -72,6 +72,16 @@ class BranchingSystem:
         return refs
 
 
+def _add_term(terms: dict, x, k, zero):
+    """Add k to the coefficient of x in place, dropping x when the sum is
+    zero; a key that drops and returns moves to the end."""
+    s = terms.get(x, zero) + k
+    if s == 0:
+        terms.pop(x, None)
+    else:
+        terms[x] = s
+
+
 class ModuleVector:
     """Finitely supported map basis element -> nonzero scalar."""
 
@@ -107,11 +117,7 @@ class ModuleVector:
             raise InputError("vectors live over different fields")
         terms = dict(self.terms)
         for x, k in other.terms.items():
-            s = terms.get(x, self.field.zero) + k
-            if s == 0:
-                terms.pop(x, None)
-            else:
-                terms[x] = s
+            _add_term(terms, x, k, self.field.zero)
         return ModuleVector(self.field, terms)
 
     def __neg__(self):
@@ -275,13 +281,13 @@ def act(
         raise InputError("element and system live over different graphs")
     if a.field != m.field:
         raise InputError("element and vector fields differ")
-    out = ModuleVector(m.field)
+    terms, zero = {}, m.field.zero
     for mono, k in a.terms.items():
         for x, c in m.terms.items():
             y = _act_monomial(sys, mono, x, t)
             if y is not None:
-                out = out + ModuleVector(m.field, {y: k * c})
-    return out
+                _add_term(terms, y, k * c, zero)
+    return ModuleVector(m.field, terms)
 
 
 @dataclass

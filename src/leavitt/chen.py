@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 from . import algebra as alg
-from .branching import BranchingSystem, ModuleVector, Truncation, act
+from .branching import BranchingSystem, ModuleVector, Truncation, _add_term, act
 from .errors import InputError, InternalCheckError, WindowOverflow
 from .fields import QQ
 from .graphs import (
@@ -148,41 +148,29 @@ class IrrationalRule:
     def vertex_support(self) -> frozenset:
         return self.c.vertex_set | self.d.vertex_set
 
+    def _locate(self, i: int) -> tuple:
+        """(cycle, index): edge i, 1-indexed, is cycle.steps[index] and
+        starts at cycle.sources[index]."""
+        nc, nd = len(self.c), len(self.d)
+        k = 1
+        while i > k * (nc + nd):
+            i -= k * (nc + nd)
+            k += 1
+        if i <= k * nc:
+            return self.c, (i - 1) % nc
+        return self.d, (i - k * nc - 1) % nd
+
     def edge_at(self, i: int):
         """The i-th edge of the path, 1-indexed."""
         if i < 1:
             raise InputError("edge positions are 1-indexed")
-        nc, nd = len(self.c), len(self.d)
-        k = 1
-        while i > k * (nc + nd):
-            i -= k * (nc + nd)
-            k += 1
-        if i <= k * nc:
-            return self.c.steps[(i - 1) % nc]
-        j = i - k * nc
-        return self.d.steps[(j - 1) % nd]
+        cycle, j = self._locate(i)
+        return cycle.steps[j]
 
     def vertex_at(self, m: int) -> str:
         """The vertex reached after m edges (the source of edge m + 1)."""
-        nc, nd = len(self.c), len(self.d)
-        i = m + 1
-        k = 1
-        while i > k * (nc + nd):
-            i -= k * (nc + nd)
-            k += 1
-        if i <= k * nc:
-            return self.c.sources[(i - 1) % nc]
-        j = i - k * nc
-        return self.d.sources[(j - 1) % nd]
-
-    def prefix(self, length: int) -> Path:
-        """The initial segment of the path, as a finite Path."""
-        verts = [self.pivot]
-        steps = []
-        for i in range(1, length + 1):
-            steps.append(self.edge_at(i))
-            verts.append(self.vertex_at(i))
-        return Path(tuple(verts), tuple(steps))
+        cycle, j = self._locate(m + 1)
+        return cycle.sources[j]
 
     def __str__(self):
         return f"({self.c})({self.d})({self.c})^2({self.d})^2..."
@@ -960,13 +948,13 @@ def verify_shift_iso(
 
 
 def _map_vector(iso: ShiftIso, m: ModuleVector, sys_v, t: Truncation) -> ModuleVector:
-    out = ModuleVector(m.field)
+    terms, zero = {}, m.field.zero
     for x, k in m.terms.items():
         y = iso.forward(x)
         if not sys_v.in_window(y, t):
             raise WindowOverflow(y)
-        out = out + ModuleVector(m.field, {y: k})
-    return out
+        _add_term(terms, y, k, zero)
+    return ModuleVector(m.field, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,9 @@ def _resolve_module(doc: GraphDocument, spec: str) -> chen.ModuleDescriptor:
     raise InputError(f"unknown module selector {spec!r}")
 
 
-def _resolve_basis(doc: GraphDocument, descriptor, system, text: str, field):
-    """A basis-element selector for cmd_act, per module family."""
+def _resolve_basis(doc: GraphDocument, descriptor, system, text: str, field, t):
+    """A basis-element selector for cmd_act, per module family.  A tail
+    shift beyond the window t is rejected before the rule is walked."""
     g = doc.graph
     if isinstance(descriptor, chen.NcModule):
         m = parse_monomial(g, text, field)
@@ -131,6 +132,8 @@ def _resolve_basis(doc: GraphDocument, descriptor, system, text: str, field):
             raise InputError(f"bad shift {shift!r} in tail selector") from exc
         if shift_n < 0:
             raise InputError("tail shifts are nonnegative")
+        if shift_n - len(m.p) > t.max_path_length:  # reducing cancels <= len(p)
+            raise InputError(f"shift {shift_n} is outside the window")
         rule = descriptor.tail
         if m.p.end != rule.vertex_at(shift_n):
             raise InputError(
@@ -275,9 +278,10 @@ def cmd_act(args) -> int:
     if args.basis.strip() == "0":
         vec = ModuleVector(field)
     else:
-        vec = ModuleVector.unit(
-            _resolve_basis(doc, descriptor, system, args.basis, field), field
-        )
+        x = _resolve_basis(doc, descriptor, system, args.basis, field, t)
+        if not system.in_window(x, t):
+            raise InputError(f"basis element {x} is outside the window")
+        vec = ModuleVector.unit(x, field)
     result = act(system, element, vec, t)
     report = {
         "module": descriptor.label(),

@@ -22,11 +22,13 @@ from .fields import QQ
 from .graphs import (
     Cycle,
     Graph,
+    Path,
     _breaking_vertices,
     breaking_vertices,
     classify_cycle,
     hereditary_saturated_closure,
     root,
+    vertex_path,
 )
 
 
@@ -170,72 +172,53 @@ def _quotient_graph(g: Graph, pair: AdmissiblePair) -> QuotientGraph:
     edges = {}
     bundles = {}
     primed_edges = {}
-    for e, (src, tgt) in g.edges.items():
-        if tgt in H:
-            continue
-        edges[e] = (src, tgt)
-        if tgt in unbroken:
-            primed_edges[e] = _primed(e)
-            edges[_primed(e)] = (src, primed_vertices[tgt])
-    for b, (src, tgt) in g.bundles.items():
-        if tgt in H:
-            continue
-        bundles[b] = (src, tgt)
-        if tgt in unbroken:
-            primed_edges[b] = _primed(b)
-            bundles[_primed(b)] = (src, primed_vertices[tgt])
+    for table, kept in ((g.edges, edges), (g.bundles, bundles)):
+        for e, (src, tgt) in table.items():
+            if tgt in H:
+                continue
+            kept[e] = (src, tgt)
+            if tgt in unbroken:
+                primed_edges[e] = _primed(e)
+                kept[_primed(e)] = (src, primed_vertices[tgt])
     return QuotientGraph(Graph(vertices, edges, bundles), pair, primed_vertices, primed_edges)
 
 
 def quotient_map(g: Graph, pair: AdmissiblePair, a: alg.AlgebraElement) -> alg.AlgebraElement:
     """The canonical surjection with kernel I(H, S), in quotient normal form.
 
-    Generator images: vertices of H and edges into H go to zero; an unbroken
-    breaking vertex v maps to v + v', and an edge ranging at it to e + e'.
+    A monomial p q* with v = r(p) = r(q) maps to 0 when v is in H, to
+    p q* + p' q'* when v is an unbroken breaking vertex, and to p q*
+    otherwise.  Here p' is p with its last step, or its only vertex, moved
+    onto the primed copy; the cross terms vanish because v v' = 0, and H is
+    hereditary, so no earlier vertex of p or q lies in H.  The raw terms are
+    normalized once, in the quotient graph.
     """
+    if a.graph != g:
+        raise InputError("element and pair live over different graphs")
     qg = quotient_graph(g, pair)
-    q = qg.graph
-    H = pair.H
-    field = a.field
-
-    def vertex_image(v):
-        if v in H:
-            return alg.zero(q, field)
-        img = alg.vertex(q, v, field)
-        if v in qg.primed_vertices:
-            img = img + alg.vertex(q, qg.primed_vertices[v], field)
-        return img
-
-    def edge_image(ref):
-        tgt = g.tgt(ref)
-        if tgt in H:
-            return alg.zero(q, field)
-        if isinstance(ref, tuple):
-            img = alg.edge(q, ref, field)
-            if ref[0] in qg.primed_edges:
-                img = img + alg.edge(q, (qg.primed_edges[ref[0]], ref[1]), field)
-        else:
-            img = alg.edge(q, ref, field)
-            if ref in qg.primed_edges:
-                img = img + alg.edge(q, qg.primed_edges[ref], field)
-        return img
-
-    def path_image(p):
-        if p.is_vertex:
-            return vertex_image(p.start)
-        img = None
-        for ref in p.steps:
-            step = edge_image(ref)
-            img = step if img is None else img * step
-            if img.is_zero:
-                return img
-        return img
-
-    total = alg.zero(q, field)
+    H = qg.pair.H
+    raw = []
     for m, k in a.terms.items():
-        img = path_image(m.p) * alg.star(path_image(m.q))
-        total = total + img.scale(k)
-    return total
+        v = m.p.end
+        if v in H:
+            continue
+        raw.append((m, k))
+        if v in qg.primed_vertices:
+            raw.append((alg.Monomial(_primed_end(qg, m.p), _primed_end(qg, m.q)), k))
+    return alg.AlgebraElement(qg.graph, a.field, raw)
+
+
+def _primed_end(qg: QuotientGraph, p: Path) -> Path:
+    """p with its last step, or its only vertex, moved onto the primed copy."""
+    end = qg.primed_vertices[p.end]
+    if p.is_vertex:
+        return vertex_path(end)
+    last = p.steps[-1]
+    if isinstance(last, tuple):
+        last = (qg.primed_edges[last[0]], last[1])
+    else:
+        last = qg.primed_edges[last]
+    return Path(p.vertices[:-1] + (end,), p.steps[:-1] + (last,))
 
 
 def contains(g: Graph, pair: AdmissiblePair, a: alg.AlgebraElement) -> bool:

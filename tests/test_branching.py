@@ -9,6 +9,7 @@ from leavitt import chen
 from leavitt.branching import (
     ModuleVector,
     Truncation,
+    _act_monomial,
     act,
     annihilation_check,
     check_axioms,
@@ -170,6 +171,69 @@ class TestAct:
         for a in (alg.vertex(G5, "v"), alg.edge(G5, "d")):
             with pytest.raises(InputError):
                 act(sys, a, x, T)
+
+
+def _pairwise_act(sys, a, m, t):
+    """act as one vector sum per (monomial, basis element) pair: the oracle
+    of the single accumulation in act."""
+    out = ModuleVector(m.field)
+    for mono, k in a.terms.items():
+        for x, c in m.terms.items():
+            y = _act_monomial(sys, mono, x, t)
+            if y is not None:
+                out = out + ModuleVector(m.field, {y: k * c})
+    return out
+
+
+class TestSinglePassAct:
+    def _no_vector_sums(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("ModuleVector.__add__ called")
+
+        monkeypatch.setattr(ModuleVector, "__add__", refuse)
+
+    def test_act_and_shift_iso_make_no_vector_sum(self, monkeypatch):
+        self._no_vector_sums(monkeypatch)
+        _, sys = nc_system(G1)
+        rel = alg.vertex(G1, "v") - alg.edge(G1, "e") * alg.star(alg.edge(G1, "e"))
+        window = {x: Fraction(i + 1) for i, x in enumerate(sys.enumerate(Truncation(3, 1)))}
+        assert act(sys, rel, ModuleVector(QQ, window), T).is_zero
+        (c6,) = enumerate_cycles(G6)
+        rep = chen.verify_shift_iso(chen.shift_iso(G6, c6, "v", "w"), T)
+        assert rep.passed and rep.mapped > 0
+
+    def test_vertex_fixes_the_emitter_window(self, monkeypatch):
+        self._no_vector_sums(monkeypatch)
+        sys = chen.build_module(G4, chen.inf_emitter_module(G4, "v"))
+        t = Truncation(5, 4)
+        m = ModuleVector(QQ, {x: QQ.one for x in sys.enumerate(t)})
+        assert len(m.terms) == 1365
+        out = act(sys, alg.vertex(G4, "v"), m, t)
+        assert out == m and list(out.terms) == list(m.terms)
+
+    def test_agrees_with_pairwise_sums(self):
+        rng = random.Random(20)
+        for g in (G1, G3, G6):
+            _, sys = nc_system(g)
+            paths = list(enumerate_paths(g, 2, 2))
+            window = list(sys.enumerate(Truncation(3, 2)))
+            for field in (QQ, PrimeField(7)):
+                for _ in range(40):
+                    a = alg.zero(g, field)
+                    for _ in range(rng.randint(1, 4)):
+                        p = rng.choice(paths)
+                        q = rng.choice([q for q in paths if q.end == p.end])
+                        a = a + alg.monomial(g, p, q, coeff=rng.choice([1, -1, 2]), field=field)
+                    xs = rng.sample(window, min(len(window), rng.randint(2, 8)))
+                    m = ModuleVector(field, {x: field.coerce(rng.choice([1, -1, 3])) for x in xs})
+                    try:
+                        want = _pairwise_act(sys, a, m, Truncation(6, 2))
+                    except WindowOverflow:
+                        with pytest.raises(WindowOverflow):
+                            act(sys, a, m, Truncation(6, 2))
+                        continue
+                    got = act(sys, a, m, Truncation(6, 2))
+                    assert got == want and list(got.terms) == list(want.terms)
 
 
 class TestAnnihilationCheck:

@@ -64,6 +64,33 @@ class TestRed:
             chen.red(G3, C3, "v", vertex_path("u"), vertex_path("v"))
 
 
+# The two position loops of IrrationalRule before they shared one locator:
+# the oracles of edge_at and vertex_at.
+def _loop_edge_at(rule, i):
+    nc, nd = len(rule.c), len(rule.d)
+    k = 1
+    while i > k * (nc + nd):
+        i -= k * (nc + nd)
+        k += 1
+    if i <= k * nc:
+        return rule.c.steps[(i - 1) % nc]
+    j = i - k * nc
+    return rule.d.steps[(j - 1) % nd]
+
+
+def _loop_vertex_at(rule, m):
+    nc, nd = len(rule.c), len(rule.d)
+    i = m + 1
+    k = 1
+    while i > k * (nc + nd):
+        i -= k * (nc + nd)
+        k += 1
+    if i <= k * nc:
+        return rule.c.sources[(i - 1) % nc]
+    j = i - k * nc
+    return rule.d.sources[(j - 1) % nd]
+
+
 class TestIrrationalRule:
     def test_word_expansion(self):
         c0, c1 = enumerate_cycles(G4, 2)
@@ -77,6 +104,20 @@ class TestIrrationalRule:
         rule = chen.irrational_rule(G5, d, e)
         word = [rule.edge_at(i) for i in range(1, 7)]
         assert word == ["d", "e", "d", "d", "e", "e"]
+
+    def test_locator_agrees_with_position_loops(self):
+        # two cycles of lengths 2 and 3 through p, besides the loops of G4, G5
+        g = Graph(["p", "x", "y", "z"], edges={
+            "a1": ("p", "x"), "a2": ("x", "p"),
+            "b1": ("p", "y"), "b2": ("y", "z"), "b3": ("z", "p"),
+        })
+        rules = [chen.irrational_rule(h, *enumerate_cycles(h, 2)[:2]) for h in (G4, G5, g)]
+        for rule in rules:
+            for m in range(301):
+                assert rule.vertex_at(m) == _loop_vertex_at(rule, m)
+                if m >= 1:
+                    assert rule.edge_at(m) == _loop_edge_at(rule, m)
+        assert [rules[2].vertex_at(m) for m in range(8)] == list("pxpyzpxp")
 
     def test_validation(self):
         with pytest.raises(InputError):

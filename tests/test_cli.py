@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from leavitt import classify as cls
 from leavitt import cli
 from leavitt.branching import Truncation
-from leavitt.catalog import CATALOG, G2, G3
+from leavitt.catalog import CATALOG, G2, G3, G4
 from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
 from leavitt.graphio import (
@@ -452,6 +452,7 @@ class TestVerifyCommand:
 
 
 G2_TEXT = emit_graph(G2)
+G4_TEXT = emit_graph(G4)
 V_LOOP_JSON = {"vertices": ["v"], "edges": {"c": ["v", "v"]}}
 
 # (graph file text, arguments after the global flags with FILE for its path)
@@ -495,6 +496,21 @@ MALFORMED = {
     "scalar 1/0": (
         G2_TEXT,
         ["act", "FILE", "--module", "nc:c@v", "--element", "1/0 v", "--basis", "v"],
+    ),
+    "act basis with a bundle index outside the window": (
+        G4_TEXT,
+        ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
+         "--basis", "b[5]@1"],
+    ),
+    "act basis with a shift outside the window": (
+        G4_TEXT,
+        ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
+         "--basis", "v@99999999999"],
+    ),
+    "act basis longer than the window": (
+        G2_TEXT,
+        ["act", "FILE", "--module", "nc:c@v", "--element", "v",
+         "--basis", "c c c c c c c"],
     ),
 }
 

@@ -5,9 +5,10 @@ import pytest
 
 from leavitt import algebra as alg
 from leavitt import ideals as idl
-from leavitt.catalog import CATALOG, G1, G2, G3, G4, random_graph
+from leavitt.catalog import CATALOG, G1, G2, G3, G4, G6, random_graph
 from leavitt.classify import find_base_vertex
 from leavitt.errors import InputError
+from leavitt.fields import QQ, PrimeField
 from leavitt.graphs import (
     Graph,
     breaking_vertices,
@@ -212,8 +213,9 @@ class TestQuotientGraph:
         assert qg.primed_vertices == {"u": "u'"}
         assert qg.graph.bundles == {"bb": ("x", "u"), "bb'": ("x", "u'")}
         assert ("f", "f'") in qg.graph.edges.items() or qg.graph.edges["f'"] == ("x", "u'")
-        img = idl.quotient_map(g, p, alg.edge(g, ("bb", 0)))
-        assert img == alg.edge(qg.graph, ("bb", 0)) + alg.edge(qg.graph, ("bb'", 0))
+        for i in (0, 1):
+            img = idl.quotient_map(g, p, alg.edge(g, ("bb", i)))
+            assert img == alg.edge(qg.graph, ("bb", i)) + alg.edge(qg.graph, ("bb'", i))
 
     def test_vertex_count_formula(self):
         rng = random.Random(13)
@@ -298,6 +300,120 @@ class TestQuotientMap:
                 assert pi(a * b) == pi(a) * pi(b)
                 assert pi(a + b) == pi(a) + pi(b)
                 assert pi(alg.star(a)) == alg.star(pi(a))
+
+
+# The map as a homomorphism built from generator images, multiplied out
+# step by step: the oracle of the direct monomial rule in idl.quotient_map.
+def _closure_quotient_map(g, pair, a):
+    """The canonical surjection with kernel I(H, S), in quotient normal form.
+
+    Generator images: vertices of H and edges into H go to zero; an unbroken
+    breaking vertex v maps to v + v', and an edge ranging at it to e + e'.
+    """
+    qg = idl.quotient_graph(g, pair)
+    q = qg.graph
+    H = pair.H
+    field = a.field
+
+    def vertex_image(v):
+        if v in H:
+            return alg.zero(q, field)
+        img = alg.vertex(q, v, field)
+        if v in qg.primed_vertices:
+            img = img + alg.vertex(q, qg.primed_vertices[v], field)
+        return img
+
+    def edge_image(ref):
+        tgt = g.tgt(ref)
+        if tgt in H:
+            return alg.zero(q, field)
+        if isinstance(ref, tuple):
+            img = alg.edge(q, ref, field)
+            if ref[0] in qg.primed_edges:
+                img = img + alg.edge(q, (qg.primed_edges[ref[0]], ref[1]), field)
+        else:
+            img = alg.edge(q, ref, field)
+            if ref in qg.primed_edges:
+                img = img + alg.edge(q, qg.primed_edges[ref], field)
+        return img
+
+    def path_image(p):
+        if p.is_vertex:
+            return vertex_image(p.start)
+        img = None
+        for ref in p.steps:
+            step = edge_image(ref)
+            img = step if img is None else img * step
+            if img.is_zero:
+                return img
+        return img
+
+    total = alg.zero(q, field)
+    for m, k in a.terms.items():
+        img = path_image(m.p) * alg.star(path_image(m.q))
+        total = total + img.scale(k)
+    return total
+
+
+def _assert_maps_agree(g, p, a):
+    new, old = idl.quotient_map(g, p, a), _closure_quotient_map(g, p, a)
+    assert new == old and str(new) == str(old), (g.edges, g.bundles, p.label(), str(a))
+    return new
+
+
+class TestDirectQuotientMap:
+    def test_agrees_with_closures_on_all_three_vertex_graphs(self):
+        rng = random.Random(18)
+        fields = (QQ, PrimeField(7))
+        pairs = nonzero = primed = unbroken = 0
+        for g in three_vertex_graphs():
+            paths = list(enumerate_paths(g, 2, 2))
+            by_end = {}
+            for x in paths:
+                by_end.setdefault(x.end, []).append(x)
+            for p in idl.enumerate_admissible_pairs(g):
+                qg = idl.quotient_graph(g, p)
+                # a term ranging at an unbroken vertex, if the pair has one
+                ends = sorted(qg.primed_vertices)
+                x = rng.choice(by_end[rng.choice(ends)] if ends else paths)
+                y = rng.choice(by_end[x.end])
+                w = rng.choice(paths)
+                field = fields[pairs % 2]
+                raw = [(alg.Monomial(x, y), field.coerce(rng.choice([1, -1, 2, 3]))),
+                       (alg.Monomial(w, w), field.one)]
+                img = _assert_maps_agree(g, p, alg.AlgebraElement(g, field, raw))
+                pairs += 1
+                nonzero += not img.is_zero
+                primes = qg.primed_vertices.values()
+                primed += any(m.p.end in primes for m in img.terms)
+                unbroken += bool(ends)
+        assert pairs == 16_084 and nonzero > pairs // 2
+        assert unbroken == 888 and primed > unbroken // 2
+
+    def test_agrees_with_closures_on_catalog_products(self):
+        rng = random.Random(19)
+        for g in CATALOG.values():
+            paths = list(enumerate_paths(g, 2, 2))
+            pairs = idl.enumerate_admissible_pairs(g)
+            gens = [gen for p in pairs for gen in idl.ideal_generators(g, p)]
+            for p, gen, _ in itertools.product(pairs, gens, range(4)):
+                r, s = (
+                    alg.monomial(g, x, rng.choice([z for z in paths if z.end == x.end]),
+                                 coeff=rng.choice([1, -1, 2]))
+                    for x in (rng.choice(paths), rng.choice(paths))
+                )
+                _assert_maps_agree(g, p, r * gen * s)
+
+    def test_element_over_another_graph_rejected(self):
+        for g, p, a in (
+            (G2, pair(G2, ["w"]), alg.vertex(G3, "w")),
+            (G2, pair(G2, ["w"]), alg.vertex(G1, "v")),
+            (G2, pair(G2, []), alg.edge(G6, "f")),
+        ):
+            with pytest.raises(InputError):
+                idl.quotient_map(g, p, a)
+            with pytest.raises(InputError):
+                idl.contains(g, p, a)
 
 
 class TestContains:
