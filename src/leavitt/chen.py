@@ -160,6 +160,16 @@ class IrrationalRule:
             return self.c, (i - 1) % nc
         return self.d, (i - k * nc - 1) % nd
 
+    def edge_word(self):
+        """The path's edges in order from edge 1: c, d, c c, d d, ..."""
+        k = 1
+        while True:
+            for _ in range(k):
+                yield from self.c.steps
+            for _ in range(k):
+                yield from self.d.steps
+            k += 1
+
     def edge_at(self, i: int):
         """The i-th edge of the path, 1-indexed."""
         if i < 1:
@@ -514,14 +524,15 @@ class IrrationalTailSystem(BranchingSystem):
         self.graph = g
         self.rule = rule
         self._edges = [None]  # _edges[i] = rule.edge_at(i), as far as asked
+        self._word = rule.edge_word()
 
     def _edge_at(self, i: int):
-        """rule.edge_at(i), each position computed once per system."""
+        """rule.edge_at(i), read once per system off one pass of the word."""
         edges = self._edges
         if i < 1:
             return self.rule.edge_at(i)  # which raises: positions start at 1
         while len(edges) <= i:
-            edges.append(self.rule.edge_at(len(edges)))
+            edges.append(next(self._word))
         return edges[i]
 
     def _vertex_at(self, m: int) -> str:

@@ -37,7 +37,7 @@ def _load_document(path: str) -> GraphDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     return parse_graph_document(text)
 
@@ -261,8 +261,11 @@ def cmd_quotient(args) -> int:
     }
     if args.dot:
         dot = to_dot(qg.graph, qg, name="quotient")
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(dot)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.dot!r}: {exc}") from exc
         report["dot"] = args.dot
     _emit(report, args.json)
     return 0

@@ -53,6 +53,16 @@ def _result(name, passed, detail=""):
     return CheckResult(name, bool(passed), "" if passed else detail)
 
 
+def _results(failed: dict, **checks) -> list:
+    """One result per check, in keyword order: ``checks`` maps each check's
+    key to its name, and ``failed`` maps the key of each failing check to the
+    witness of its last failure."""
+    return [
+        _result(name, key not in failed, failed.get(key, ""))
+        for key, name in checks.items()
+    ]
+
+
 def _random_subset(rng, items):
     return frozenset(x for x in items if rng.random() < 0.5)
 
@@ -94,21 +104,19 @@ def _random_homogeneous(g: Graph, rng, index):
 
 
 def graph_core_suite(graphs: dict, rng: random.Random) -> list:
-    results = []
-    closure_ok = complement_ok = True
-    closure_detail = complement_detail = ""
+    failed = {}
     for name, g in graphs.items():
         for _ in range(20):
             V = _random_subset(rng, g.vertex_list)
             R = root(g, V)
             if not (V <= R and root(g, R) == R):
-                closure_ok, closure_detail = False, f"{name}: V={sorted(V)}"
+                failed["closure"] = f"{name}: V={sorted(V)}"
             W = _random_subset(rng, g.vertex_list)
             if V <= W and not root(g, V) <= root(g, W):
-                closure_ok, closure_detail = False, f"{name}: monotonicity V={sorted(V)}"
+                failed["closure"] = f"{name}: monotonicity V={sorted(V)}"
             comp = g.vertices - R
             if not is_hereditary(g, comp)[0]:
-                complement_ok, complement_detail = False, f"{name}: V={sorted(V)}"
+                failed["complement"] = f"{name}: V={sorted(V)}"
             # Saturation of the complement needs every regular vertex of V
             # to return into the root (a regular member whose edges all
             # leave R(V) is a counterexample to the blanket claim); every
@@ -119,17 +127,8 @@ def graph_core_suite(graphs: dict, rng: random.Random) -> list:
                 if g.is_regular(v)
             )
             if returns and not is_saturated(g, comp)[0]:
-                complement_ok, complement_detail = False, f"{name}: V={sorted(V)}"
-    results.append(_result("root is a closure operator", closure_ok, closure_detail))
-    results.append(
-        _result(
-            "complement of a root is hereditary (saturated given returns)",
-            complement_ok,
-            complement_detail,
-        )
-    )
+                failed["complement"] = f"{name}: V={sorted(V)}"
 
-    excl_ok, excl_detail = True, ""
     for name, g in graphs.items():
         for c in enumerate_cycles(g, 2):
             cl = classify_cycle(g, c, g.vertices)
@@ -141,29 +140,27 @@ def graph_core_suite(graphs: dict, rng: random.Random) -> list:
                         if ref in set(c.steps)
                     ]
                     if len(on_cycle) != 1:
-                        excl_ok, excl_detail = False, f"{name}: {c} at {v}"
+                        failed["exclusive"] = f"{name}: {c} at {v}"
             if cl.exclusive and cl.extreme_in_V:
-                excl_ok, excl_detail = False, f"{name}: {c} both exclusive and extreme"
-    results.append(
-        _result("exclusive cycles have one cycle edge per vertex", excl_ok, excl_detail)
-    )
+                failed["exclusive"] = f"{name}: {c} both exclusive and extreme"
 
-    bh_ok, bh_detail = True, ""
-    icsp_ok = True
     for name, g in graphs.items():
         for pair in idl.enumerate_admissible_pairs(g):
             B = breaking_vertices(g, pair.H)
             emitters = {v for v in g.vertex_list if g.is_infinite_emitter(v)}
             if not B <= emitters - pair.H:
-                bh_ok, bh_detail = False, f"{name}: {pair.label()}"
+                failed["breaking"] = f"{name}: {pair.label()}"
             ok, witness = has_icsp(g, g.vertices - pair.H)
             if not ok or witness != g.vertices - pair.H:
-                icsp_ok = False
-    results.append(
-        _result("breaking vertices are emitters outside H", bh_ok, bh_detail)
+                failed["icsp"] = f"{name}: {pair.label()}"
+    return _results(
+        failed,
+        closure="root is a closure operator",
+        complement="complement of a root is hereditary (saturated given returns)",
+        exclusive="exclusive cycles have one cycle edge per vertex",
+        breaking="breaking vertices are emitters outside H",
+        icsp="icsp holds with witness C = V on finite graphs",
     )
-    results.append(_result("icsp holds with witness C = V on finite graphs", icsp_ok))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +169,7 @@ def graph_core_suite(graphs: dict, rng: random.Random) -> list:
 
 
 def term_engine_suite(graphs: dict, rng: random.Random) -> list:
-    results = []
-    assoc = distrib = invol = graded = congr = units = True
-    assoc_detail = distrib_detail = invol_detail = graded_detail = ""
-    congr_detail = units_detail = ""
+    failed = {}
     for name, g in graphs.items():
         index = path_index(g)
         for _ in range(50):
@@ -183,13 +177,13 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
             b = random_element(g, rng, index)
             c = random_element(g, rng, index)
             if (a * b) * c != a * (b * c):
-                assoc, assoc_detail = False, f"{name}"
+                failed["assoc"] = name
             if a * (b + c) != a * b + a * c:
-                distrib, distrib_detail = False, f"{name}"
+                failed["distrib"] = name
             if alg.star(a * b) != alg.star(b) * alg.star(a):
-                invol, invol_detail = False, f"{name}"
+                failed["invol"] = name
             if alg.star(alg.star(a)) != a:
-                invol, invol_detail = False, f"{name} (involution)"
+                failed["invol"] = f"{name} (involution)"
             ha = _random_homogeneous(g, rng, index)
             hb = _random_homogeneous(g, rng, index)
             prod = ha * hb
@@ -197,26 +191,15 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
                 if not alg.is_homogeneous(prod) or alg.degree(prod) != alg.degree(
                     ha
                 ) + alg.degree(hb):
-                    graded, graded_detail = False, f"{name}"
+                    failed["graded"] = name
             if alg.normal_form(a) != a:
-                congr, congr_detail = False, f"{name} (idempotence)"
+                failed["congr"] = f"{name} (idempotence)"
             u = alg.local_unit(a)
             if u * a != a or a * u != a:
-                units, units_detail = False, f"{name}"
-    results.append(_result("multiplication is associative", assoc, assoc_detail))
-    results.append(
-        _result("multiplication distributes over addition", distrib, distrib_detail)
-    )
-    results.append(_result("star is an anti-multiplicative involution", invol, invol_detail))
-    results.append(_result("degrees add under multiplication", graded, graded_detail))
-    results.append(
-        _result("normal form is idempotent on built elements", congr, congr_detail)
-    )
-    results.append(_result("finite vertex sums are local units", units, units_detail))
+                failed["units"] = name
 
     # Degree-zero corner of the single-loop graph collapses to the vertex.
     g1 = graphs.get("G1")
-    corner_ok = True
     if g1 is not None:
         e = alg.edge(g1, "e")
         es = alg.star(e)
@@ -227,9 +210,17 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
                 x = x * e
                 y = y * es
             if x * y != alg.vertex(g1, "v"):
-                corner_ok = False
-    results.append(_result("single-loop degree-0 corner is spanned by the vertex", corner_ok))
-    return results
+                failed["corner"] = f"G1: m={m}"
+    return _results(
+        failed,
+        assoc="multiplication is associative",
+        distrib="multiplication distributes over addition",
+        invol="star is an anti-multiplicative involution",
+        graded="degrees add under multiplication",
+        congr="normal form is idempotent on built elements",
+        units="finite vertex sums are local units",
+        corner="single-loop degree-0 corner is spanned by the vertex",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +229,21 @@ def term_engine_suite(graphs: dict, rng: random.Random) -> list:
 
 
 def ideal_suite(graphs: dict, rng: random.Random) -> list:
-    results = []
-    gen_ok = quot_ok = lemma_ok = closure_ok = True
-    gen_detail = quot_detail = lemma_detail = closure_detail = ""
+    failed = {}
     for name, g in graphs.items():
-        for pair in idl.enumerate_admissible_pairs(g):
+        pairs = idl.enumerate_admissible_pairs(g)
+        for pair in pairs:
             for gen in idl.ideal_generators(g, pair):
                 if not idl.contains(g, pair, gen):
-                    gen_ok, gen_detail = False, f"{name} {pair.label()}"
+                    failed["gen"] = f"{name} {pair.label()}"
             for v in sorted(g.vertices - pair.H):
                 if idl.contains(g, pair, alg.vertex(g, v)):
-                    gen_ok, gen_detail = False, f"{name} {pair.label()} vertex {v}"
+                    failed["gen"] = f"{name} {pair.label()} vertex {v}"
             qg = idl.quotient_graph(g, pair)
             B = breaking_vertices(g, pair.H)
             want = len(g.vertices - pair.H) + len(B - pair.S)
             if len(qg.graph.vertices) != want:
-                quot_ok, quot_detail = False, f"{name} {pair.label()}"
+                failed["quot"] = f"{name} {pair.label()}"
             # The quotient vertex set is downwards directed exactly when the
             # complement is and S misses at most one u with full root.
             lhs = is_downwards_directed(qg.graph, qg.graph.vertices)[0]
@@ -264,8 +254,8 @@ def ideal_suite(graphs: dict, rng: random.Random) -> list:
                 or (len(missing) == 1 and root(g, [next(iter(missing))]) == comp)
             )
             if lhs != rhs:
-                lemma_ok, lemma_detail = False, f"{name} {pair.label()}"
-        proper = [p for p in idl.enumerate_admissible_pairs(g) if idl.is_proper(g, p)]
+                failed["lemma"] = f"{name} {pair.label()}"
+        proper = [p for p in pairs if idl.is_proper(g, p)]
         index = path_index(g)
         for _ in range(5):
             pair = rng.choice(proper)
@@ -277,22 +267,14 @@ def ideal_suite(graphs: dict, rng: random.Random) -> list:
             r = random_element(g, rng, index)
             for candidate in (a + b, r * a, a * r):
                 if not idl.contains(g, pair, candidate):
-                    closure_ok, closure_detail = False, f"{name} {pair.label()}"
-    results.append(
-        _result("generators lie in their ideal; outside vertices do not", gen_ok, gen_detail)
+                    failed["closure"] = f"{name} {pair.label()}"
+    return _results(
+        failed,
+        gen="generators lie in their ideal; outside vertices do not",
+        quot="quotient vertex counts match the construction",
+        lemma="quotient downward-directedness matches the finite criterion",
+        closure="membership is closed under the ideal operations",
     )
-    results.append(_result("quotient vertex counts match the construction", quot_ok, quot_detail))
-    results.append(
-        _result(
-            "quotient downward-directedness matches the finite criterion",
-            lemma_ok,
-            lemma_detail,
-        )
-    )
-    results.append(
-        _result("membership is closed under the ideal operations", closure_ok, closure_detail)
-    )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +289,11 @@ WITNESS_KIND = {"3b": "relative_sink", "3c": "extreme_cycle", "3d": "exclusive_c
 def classification_suite(
     graphs: dict, rng: random.Random, random_graphs: int = 40
 ) -> list:
-    results = []
     pool = dict(graphs)
     for i in range(random_graphs):
         pool[f"random{i}"] = random_graph(rng)
 
-    agree = implication = cond_l = unique = base_ok = witness_ok = True
-    agree_detail = implication_detail = cond_l_detail = ""
-    unique_detail = base_detail = witness_detail = ""
+    failed = {}
     pairs_seen = 0
     for name, g in pool.items():
         for pair in idl.enumerate_admissible_pairs(g):
@@ -324,23 +303,23 @@ def classification_suite(
             try:
                 record = cls.classify_graded_ideal(g, pair)
             except InternalCheckError as exc:
-                agree, agree_detail = False, f"{name} {pair.label()}: {exc}"
+                failed["agree"] = f"{name} {pair.label()}: {exc}"
                 continue
             if record.graded_primitive:
                 # The quotient route is the oracle of graded primality, which
                 # the record reads off graded primitivity.
                 qg = idl.quotient_graph(g, pair)
                 if not is_downwards_directed(qg.graph, qg.graph.vertices)[0]:
-                    implication, implication_detail = False, f"{name} {pair.label()}"
+                    failed["implication"] = f"{name} {pair.label()}"
                 if record.primitive != has_condition_L(qg.graph, qg.graph.vertices)[0]:
-                    cond_l, cond_l_detail = False, f"{name} {pair.label()}"
+                    failed["cond_l"] = f"{name} {pair.label()}"
                 try:
                     w = cls.chen_witness(g, record)
                 except InternalCheckError as exc:
-                    witness_ok, witness_detail = False, f"{name} {pair.label()}: {exc}"
+                    failed["witness"] = f"{name} {pair.label()}: {exc}"
                 else:
                     if w.kind != WITNESS_KIND[record.case.case]:
-                        witness_ok, witness_detail = False, f"{name} {pair.label()}"
+                        failed["witness"] = f"{name} {pair.label()}"
             # Case uniqueness: every base vertex classifies to the same case.
             bases = cls.base_vertices(g, pair.H)
             comp = g.vertices - pair.H
@@ -349,39 +328,23 @@ def classification_suite(
                 try:
                     kinds.add(cls.classify_base_vertex(g, comp, v).kind)
                 except InternalCheckError as exc:
-                    unique, unique_detail = False, f"{name} {pair.label()}: {exc}"
+                    failed["unique"] = f"{name} {pair.label()}: {exc}"
             if len(kinds) > 1:
-                unique, unique_detail = False, f"{name} {pair.label()}: {kinds}"
+                failed["unique"] = f"{name} {pair.label()}: {kinds}"
             # The base vertices read off the cached roots are exactly the
             # vertices whose root, searched afresh, is the whole complement.
             for v in sorted(comp):
                 if (v in bases) != (_closure(g.predecessors, [v]) == comp):
-                    base_ok, base_detail = False, f"{name} {pair.label()}: {v}"
-    results.append(
-        _result(
-            f"direct condition and case analysis agree ({pairs_seen} pairs)",
-            agree,
-            agree_detail,
-        )
+                    failed["base"] = f"{name} {pair.label()}: {v}"
+    return _results(
+        failed,
+        agree=f"direct condition and case analysis agree ({pairs_seen} pairs)",
+        implication="graded primitive implies graded prime",
+        cond_l="primitivity matches Condition (L) on the quotient",
+        unique="the emitted case is unique",
+        base="base vertices have the complement as root",
+        witness="every graded-primitive pair has a matching module witness",
     )
-    results.append(
-        _result("graded primitive implies graded prime", implication, implication_detail)
-    )
-    results.append(
-        _result("primitivity matches Condition (L) on the quotient", cond_l, cond_l_detail)
-    )
-    results.append(_result("the emitted case is unique", unique, unique_detail))
-    results.append(
-        _result("base vertices have the complement as root", base_ok, base_detail)
-    )
-    results.append(
-        _result(
-            "every graded-primitive pair has a matching module witness",
-            witness_ok,
-            witness_detail,
-        )
-    )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -465,73 +428,49 @@ def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) 
 
 
 def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
-    results = []
-
-    nc_ok, nc_detail = True, ""
-    red_ok = ghost_ok = True
-    ghost_detail = ""
-    for name, g, d in catalog_nc_modules(graphs):
+    failed = {}
+    nc_modules = catalog_nc_modules(graphs)
+    for name, g, d in nc_modules:
         sys = chen.build_module(g, d)
         rep = check_axioms(sys, t)
         if not (rep.axioms_1_to_4 and rep.perfect and rep.saturated and rep.graded):
-            nc_ok, nc_detail = False, f"{name} {d.label()}: {rep.violations[:2]}"
+            failed["nc"] = f"{name} {d.label()}: {rep.violations[:2]}"
         for p, q in chen._windowed_pairs(g, d, t):
             x = chen.red(g, d.cycle, d.v, p, q)
             again = chen.red(g, d.cycle, d.v, x.p, x.q)
             if again != x or x.degree != len(p) - len(q):
-                red_ok = False
+                failed["red"] = f"{name} {d.label()}: ({p}, {q})"
         gar = chen.ghost_action_check(g, d, t)
         if not gar.passed:
-            ghost_ok, ghost_detail = False, f"{name} {d.label()}"
-    results.append(
-        _result("cyclic modules pass all axioms, perfect, saturated, graded", nc_ok, nc_detail)
-    )
-    results.append(_result("reduction is idempotent and degree-preserving", red_ok))
-    results.append(
-        _result("ghost-action and prepend-reduction identities hold", ghost_ok, ghost_detail)
-    )
+            failed["ghost"] = f"{name} {d.label()}"
 
-    ann_ok = nonmember_ok = True
-    ann_detail = nonmember_detail = ""
     for name, g, d in catalog_modules(graphs):
         rep, missing = check_annihilator(g, d, chen.annihilator(g, d), t)
         if not rep.passed:
-            ann_ok, ann_detail = False, f"{name} {d.label()}: {rep.failures[:1]}"
+            failed["ann"] = f"{name} {d.label()}: {rep.failures[:1]}"
         if missing:
-            nonmember_ok, nonmember_detail = False, f"{name} {d.label()} vertices {missing}"
-    results.append(_result("annihilator generators annihilate the window", ann_ok, ann_detail))
-    results.append(
-        _result("vertices outside H act nontrivially somewhere", nonmember_ok, nonmember_detail)
-    )
+            failed["nonmember"] = f"{name} {d.label()} vertices {missing}"
 
-    naive_ok = True
     g1 = graphs.get("G1")
     if g1 is not None:
         rep = check_axioms(chen.NaivePairSystem(g1, "v"), Truncation(3, 1))
         witness_v = chen.NaivePair(vertex_path("v"), vertex_path("v"))
-        naive_ok = (
+        if not (
             rep.axiom1
             and rep.axiom2
             and rep.axiom3
             and not rep.axiom4
             and any(w == witness_v for kind, w in rep.violations if kind == "axiom4")
-        )
-    results.append(
-        _result("the unreduced pair system fails exactly axiom (4) at the vertex", naive_ok)
-    )
+        ):
+            failed["naive"] = f"G1: {rep.violations[:2]}"
 
-    rec_ok, rec_detail = True, ""
-    for name, g, d in catalog_nc_modules(graphs):
+    for name, g, d in nc_modules:
         try:
             recovery_sweep(g, d, t, rng, 40)
         except (InternalCheckError, WindowOverflow) as exc:
-            rec_ok, rec_detail = False, f"{name} {d.label()}: {exc}"
-    results.append(
-        _result("generator recovery succeeds on random homogeneous vectors", rec_ok, rec_detail)
-    )
+            failed["recovery"] = f"{name} {d.label()}: {exc}"
 
-    part_ok = True
-    for name, g, d in catalog_nc_modules(graphs):
+    for name, g, d in nc_modules:
         if d.v != min(d.cycle.vertex_set):
             continue
         union: dict = {}
@@ -542,12 +481,8 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
                 total += 1
                 union[(x.p, x.q)] = union.get((x.p, x.q), 0) + 1
         if total != len(union) or any(count != 1 for count in union.values()):
-            part_ok = False
-    results.append(
-        _result("basepoint systems partition the union system", part_ok)
-    )
+            failed["partition"] = f"{name} {d.label()}"
 
-    sub_ok = True
     for name, g in graphs.items():
         for v in g.vertex_list:
             if not g.is_infinite_emitter(v):
@@ -556,11 +491,19 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
             H = g.vertices - root(g, [v])
             in_b = v in breaking_vertices(g, H)
             if (d.subtype == "in_B_H") != in_b:
-                sub_ok = False
-    results.append(
-        _result("emitter subtype matches breaking-vertex membership", sub_ok)
+                failed["subtype"] = f"{name}: {v}"
+    return _results(
+        failed,
+        nc="cyclic modules pass all axioms, perfect, saturated, graded",
+        red="reduction is idempotent and degree-preserving",
+        ghost="ghost-action and prepend-reduction identities hold",
+        ann="annihilator generators annihilate the window",
+        nonmember="vertices outside H act nontrivially somewhere",
+        naive="the unreduced pair system fails exactly axiom (4) at the vertex",
+        recovery="generator recovery succeeds on random homogeneous vectors",
+        partition="basepoint systems partition the union system",
+        subtype="emitter subtype matches breaking-vertex membership",
     )
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,16 @@ def _loop_vertex_at(rule, m):
     return rule.d.sources[(j - 1) % nd]
 
 
+def _three_rules():
+    """Irrational rules on G4, G5 and on two cycles of lengths 2 and 3
+    through p."""
+    g = Graph(["p", "x", "y", "z"], edges={
+        "a1": ("p", "x"), "a2": ("x", "p"),
+        "b1": ("p", "y"), "b2": ("y", "z"), "b3": ("z", "p"),
+    })
+    return [chen.irrational_rule(h, *enumerate_cycles(h, 2)[:2]) for h in (G4, G5, g)]
+
+
 class TestIrrationalRule:
     def test_word_expansion(self):
         c0, c1 = enumerate_cycles(G4, 2)
@@ -106,18 +116,36 @@ class TestIrrationalRule:
         assert word == ["d", "e", "d", "d", "e", "e"]
 
     def test_locator_agrees_with_position_loops(self):
-        # two cycles of lengths 2 and 3 through p, besides the loops of G4, G5
-        g = Graph(["p", "x", "y", "z"], edges={
-            "a1": ("p", "x"), "a2": ("x", "p"),
-            "b1": ("p", "y"), "b2": ("y", "z"), "b3": ("z", "p"),
-        })
-        rules = [chen.irrational_rule(h, *enumerate_cycles(h, 2)[:2]) for h in (G4, G5, g)]
+        rules = _three_rules()
         for rule in rules:
             for m in range(301):
                 assert rule.vertex_at(m) == _loop_vertex_at(rule, m)
                 if m >= 1:
                     assert rule.edge_at(m) == _loop_edge_at(rule, m)
         assert [rules[2].vertex_at(m) for m in range(8)] == list("pxpyzpxp")
+
+    def test_edge_word_agrees_with_locator(self):
+        for rule in _three_rules():
+            word = rule.edge_word()
+            assert [next(word) for _ in range(3000)] == [
+                rule.edge_at(i) for i in range(1, 3001)
+            ]
+
+    def test_system_reads_the_word_without_the_locator(self, monkeypatch):
+        # The system's cache follows one pass of the word, so reaching a far
+        # position is linear; the locator (a walk from position 1) is unused.
+        c0, c1 = enumerate_cycles(G4, 2)
+        rule = chen.irrational_rule(G4, c0, c1)
+        expected = {i: rule.edge_at(i) for i in (1, 2, 39999, 40000)}
+
+        def no_locate(self, i):
+            raise AssertionError("the locator walked the word")
+
+        monkeypatch.setattr(chen.IrrationalRule, "_locate", no_locate)
+        system = chen.IrrationalTailSystem(G4, rule)
+        assert {i: system._edge_at(i) for i in (40000, 39999, 1, 2)} == expected
+        with pytest.raises(InputError):
+            system._edge_at(0)
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from leavitt import classify as cls
 from leavitt import cli
-from leavitt.branching import Truncation
+from leavitt.branching import AxiomReport, Truncation
 from leavitt.catalog import CATALOG, G2, G3, G4
 from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
@@ -152,6 +152,34 @@ class TestDot:
         # each primed vertex declared exactly once
         assert sum(1 for line in dot.splitlines() if line.strip().startswith('"v\'"') and "->" not in line) == 1
         assert "style=dashed" in dot
+
+
+_REAL_ROOT = verification.root
+
+# Faults injected into the names the suites use: (replacement, failing checks).
+INJECTED = {
+    "has_icsp": (
+        lambda g, V: (False, frozenset()),
+        ["icsp holds with witness C = V on finite graphs"],
+    ),
+    "check_axioms": (
+        lambda system, t: AxiomReport(),
+        ["the unreduced pair system fails exactly axiom (4) at the vertex"],
+    ),
+    "is_saturated": (
+        lambda g, H: (False, None),
+        ["complement of a root is hereditary (saturated given returns)"],
+    ),
+    "root": (
+        lambda g, V: _REAL_ROOT(g, V) | {g.vertex_list[-1]},
+        [
+            "root is a closure operator",
+            "complement of a root is hereditary (saturated given returns)",
+            "quotient downward-directedness matches the finite criterion",
+            "emitter subtype matches breaking-vertex membership",
+        ],
+    ),
+}
 
 
 def run_cli(capsys, *argv):
@@ -444,6 +472,24 @@ class TestVerifyCommand:
             "emitter subtype matches breaking-vertex membership",
         ]
         assert all(r.passed for r in results)
+        assert all(r.detail == "" for r in results)
+
+    @pytest.mark.parametrize("target", sorted(INJECTED))
+    def test_failure_record(self, monkeypatch, target):
+        # An injected fault fails exactly the checks that rest on it, each
+        # with the witness of its last failure; every other check passes
+        # without a detail.
+        replacement, failing = INJECTED[target]
+        monkeypatch.setattr(verification, target, replacement)
+        results = verification.run_suites(
+            seed=3, window=Truncation(4, 2), random_graphs=2
+        )
+        assert [r.name for r in results if not r.passed] == failing
+        for r in results:
+            if r.passed:
+                assert r.detail == ""
+            else:
+                assert r.detail.partition(" ")[0].rstrip(":") in CATALOG
 
     def test_detail_only_on_failure(self):
         # A passing check never prints a witness (a sibling's failure).
@@ -455,7 +501,7 @@ G2_TEXT = emit_graph(G2)
 G4_TEXT = emit_graph(G4)
 V_LOOP_JSON = {"vertices": ["v"], "edges": {"c": ["v", "v"]}}
 
-# (graph file text, arguments after the global flags with FILE for its path)
+# (graph file text or bytes, arguments after the global flags with FILE for its path)
 MALFORMED = {
     "json edge with one endpoint": (
         json.dumps({"vertices": ["v"], "edges": {"e": ["v"]}}), ["pairs", "FILE"]
@@ -507,6 +553,11 @@ MALFORMED = {
         ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
          "--basis", "v@99999999999"],
     ),
+    "non-UTF-8 graph file": (b"vertex v\xff\n", ["pairs", "FILE"]),
+    "quotient DOT path in a missing directory": (
+        G2_TEXT,
+        ["quotient", "FILE", "--pair", "{w},{}", "--dot", "/nonexistent/dir/x.dot"],
+    ),
     "act basis longer than the window": (
         G2_TEXT,
         ["act", "FILE", "--module", "nc:c@v", "--element", "v",
@@ -519,7 +570,10 @@ MALFORMED = {
 def test_malformed_input_exits_2(capsys, tmp_path, case):
     text, argv = MALFORMED[case]
     path = tmp_path / "input.graph"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     argv = [str(path) if a == "FILE" else a for a in argv]
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
