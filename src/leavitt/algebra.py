@@ -297,9 +297,12 @@ def normal_form(a: AlgebraElement) -> AlgebraElement:
 
 
 def star(a: AlgebraElement) -> AlgebraElement:
-    """The involution (k p q*)* = k q p*, extended linearly."""
+    """The involution (k p q*)* = k q p*, extended linearly.
+
+    p q* is reducible iff p and q end in the same designated edge, a test
+    symmetric in p and q, so the star of a normal form is one."""
     return AlgebraElement(
-        a.graph, a.field, {m.star(): k for m, k in a.terms.items()}
+        a.graph, a.field, {m.star(): k for m, k in a.terms.items()}, _normalized=True
     )
 
 

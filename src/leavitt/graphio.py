@@ -20,7 +20,8 @@ under the same rules: ``{"vertices": ["v"], "edges": {"c": ["v", "v"]},
 
 Expressions over the algebra use juxtaposition for products, ``*`` as a
 postfix star, integer or a/b scalars, and ``+``/``-``:  ``v - c c*``,
-``1/2 e (v + w)``, ``b[0]*``.
+``1/2 e (v + w)``, ``b[0]*``.  Nesting deeper than 100 parentheses is an
+input error.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ from typing import Optional
 from . import algebra as alg
 from .errors import InputError
 from .fields import QQ
-from .graphs import Graph, make_cycle, make_path, vertex_path
+from .graphs import Graph, _edge_path, make_cycle, make_path, vertex_path
 from .ideals import QuotientGraph, admissible_pair
 
 _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]")
 
 
 @dataclass
@@ -57,7 +59,7 @@ def _check_id(name: str) -> str:
 
 def parse_ref(token: str, g: Optional[Graph] = None):
     """An edge ref token: ``e`` or ``b[3]``."""
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\[(\d+)\]", token)
+    m = _REF.fullmatch(token)
     ref = (m.group(1), int(m.group(2))) if m else token
     if g is not None and not g.has_ref(ref):
         raise InputError(f"unknown edge ref {token!r}")
@@ -256,6 +258,7 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str):
+    """The token list, ending in a ``(None, None)`` sentinel."""
     pos = 0
     out = []
     while pos < len(text):
@@ -267,21 +270,55 @@ def _tokenize(text: str):
             raise InputError(f"bad token at {rest[:10]!r} in expression")
         out.append((m.lastgroup, m.group(m.lastgroup)))
         pos = m.end()
+    out.append((None, None))
     return out
 
 
+# Deeper nesting is an input error, well before Python's recursion limit.
+_MAX_DEPTH = 100
+
+
+def _unit_monomial(g: Graph, name: str) -> alg.Monomial:
+    """The monomial a name stands for: v v* for a vertex, e r(e)* for an
+    edge ref, remembered per graph.  An unknown name raises and is not kept."""
+    atoms = g._analysis.atoms
+    m = atoms.get(name)
+    if m is None:
+        if name in g.vertices:
+            v = vertex_path(name)
+            m = alg.Monomial(v, v)
+        else:
+            ref = parse_ref(name)
+            if g.has_ref(ref):
+                p = _edge_path(g, ref)
+                m = alg.Monomial(p, vertex_path(p.end))
+            elif name in g.bundles:
+                raise InputError(f"bundle {name!r} needs an index, e.g. {name}[0]")
+            else:
+                raise InputError(f"unknown identifier {name!r} in expression")
+        atoms[name] = m
+    return m
+
+
 class _ExprParser:
-    def __init__(self, g: Graph, field=QQ, tokens=None):
+    """Recursive descent over the token list.  Each production returns a term
+    map {Monomial: coefficient}: a term multiplies its factors monomial by
+    monomial and is normalized once; an expression sums normalized terms.
+    The normal form is unique, so this gives the element that multiplying
+    normalized elements step by step would."""
+
+    def __init__(self, g: Graph, field, tokens):
         self.g = g
         self.field = field
-        self.tokens = tokens or []
+        self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -289,38 +326,44 @@ class _ExprParser:
         out = self.expr()
         if self.peek()[0] is not None:
             raise InputError(f"trailing input in expression at {self.peek()[1]!r}")
-        return out
+        return alg.AlgebraElement(self.g, self.field, out, _normalized=True)
 
-    def expr(self) -> alg.AlgebraElement:
-        sign = 1
+    def expr(self) -> dict:
+        total: dict = {}
+        zero = self.field.zero
         kind, val = self.peek()
+        sign = "+"
         if kind == "op" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
-        total = self.term().scale(sign)
+            sign = val
         while True:
+            for m, k in self.term().items():
+                s = total.get(m, zero) + (-k if sign == "-" else k)
+                if s == zero:
+                    del total[m]
+                else:
+                    total[m] = s
             kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                nxt = self.term()
-                total = total + (nxt if val == "+" else -nxt)
-            else:
+            if kind != "op" or val not in "+-":
                 return total
+            self.take()
+            sign = val
 
-    def term(self) -> alg.AlgebraElement:
-        coeff = self.field.one
+    def term(self) -> dict:
+        field = self.field
+        coeff = field.one
         kind, val = self.peek()
         have_scalar = False
         if kind == "num":
             self.take()
             if "/" in val:
                 n, d = val.split("/")
-                den = self.field.coerce(int(d))
+                den = field.coerce(int(d))
                 if den == 0:
-                    raise InputError(f"scalar {val!r} divides by zero in {self.field.name}")
-                coeff = self.field.coerce(int(n)) / den
+                    raise InputError(f"scalar {val!r} divides by zero in {field.name}")
+                coeff = field.coerce(int(n)) / den
             else:
-                coeff = self.field.coerce(int(val))
+                coeff = field.coerce(int(val))
             have_scalar = True
         factors = []
         while True:
@@ -332,45 +375,48 @@ class _ExprParser:
         if not factors:
             if not have_scalar:
                 raise InputError("expected a term")
-            if coeff == 0:
-                return alg.zero(self.g, self.field)
             # A bare scalar means that multiple of the identity: the sum of
             # all vertices (the graph is finite).
-            total = alg.zero(self.g, self.field)
-            for v in self.g.vertex_list:
-                total = total + alg.vertex(self.g, v, self.field)
-            return total.scale(coeff)
-        out = factors[0]
+            if coeff == 0:
+                return {}
+            return {_unit_monomial(self.g, v): coeff for v in self.g.vertex_list}
+        # Ghost/real cancellation holds for any monomials, so the product
+        # needs no rewrite until the end; equal monomials merge on the way.
+        raw = factors[0]
+        mul = alg._mul_monomials
         for f in factors[1:]:
-            out = out * f
-        return out.scale(coeff)
+            out: dict = {}
+            for m1, k1 in raw.items():
+                for m2, k2 in f.items():
+                    m = mul(m1, m2)
+                    if m is not None:
+                        s = out.get(m)
+                        out[m] = k1 * k2 if s is None else s + k1 * k2
+            raw = out
+        if coeff != 1:
+            raw = {m: k * coeff for m, k in raw.items()}
+        return alg._normalize(self.g, raw)
 
-    def factor(self) -> alg.AlgebraElement:
+    def factor(self) -> dict:
         kind, val = self.take()
         if kind == "op" and val == "(":
-            inner = self.expr()
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise InputError(f"expression nests deeper than {_MAX_DEPTH} parentheses")
+            out = self.expr()
             kind, val = self.take()
             if kind != "op" or val != ")":
                 raise InputError("unbalanced parenthesis in expression")
-            out = inner
+            self.depth -= 1
         elif kind == "name":
-            out = self.atom(val)
+            out = {_unit_monomial(self.g, val): self.field.one}
         else:
             raise InputError(f"unexpected token {val!r} in expression")
+        # The star of a normal form is one (see algebra.star).
         while self.peek() == ("op", "*"):
             self.take()
-            out = alg.star(out)
+            out = {m.star(): k for m, k in out.items()}
         return out
-
-    def atom(self, name: str) -> alg.AlgebraElement:
-        if name in self.g.vertices:
-            return alg.vertex(self.g, name, self.field)
-        ref = parse_ref(name)
-        if self.g.has_ref(ref):
-            return alg.edge(self.g, ref, self.field)
-        if name in self.g.bundles:
-            raise InputError(f"bundle {name!r} needs an index, e.g. {name}[0]")
-        raise InputError(f"unknown identifier {name!r} in expression")
 
 
 def parse_element(g: Graph, text: str, field=QQ) -> alg.AlgebraElement:

@@ -44,6 +44,7 @@ class _Analysis:
         "successors",
         "predecessors",
         "edge_paths",
+        "atoms",
         "breaking",
         "quotients",
     )
@@ -57,6 +58,7 @@ class _Analysis:
         self.successors = None  # v -> frozenset of the vertices v emits into
         self.predecessors = None  # v -> frozenset of the vertices emitting into v
         self.edge_paths = {}  # edge ref -> its one-edge Path
+        self.atoms = {}  # expression name -> its unit Monomial, filled by graphio
         self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
 

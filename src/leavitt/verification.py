@@ -352,32 +352,44 @@ def classification_suite(
 # ---------------------------------------------------------------------------
 
 
+def _exclusive_cycles(g: Graph) -> list:
+    """The exclusive cycles of g (bundles sampled twice), in enumeration order."""
+    return [c for c in enumerate_cycles(g, 2) if classify_cycle(g, c, g.vertices).exclusive]
+
+
+def _nc_entries(graphs: dict, exclusive: dict) -> list:
+    """The N_c descriptors of the given exclusive cycles, built as
+    ``chen.nc_module`` would without classifying each cycle again."""
+    return [
+        (name, g, chen.NcModule(c.canonical(), v))
+        for name, g in graphs.items()
+        for c in exclusive[name]
+        for v in sorted(c.vertex_set)
+    ]
+
+
 def catalog_nc_modules(graphs: dict) -> list:
     """Every N_c descriptor over the given graphs (exclusive cycles only)."""
-    out = []
-    for name, g in graphs.items():
-        for c in enumerate_cycles(g, 2):
-            if not classify_cycle(g, c, g.vertices).exclusive:
-                continue
-            for v in sorted(c.vertex_set):
-                out.append((name, g, chen.nc_module(g, c, v)))
-    return out
+    return _nc_entries(graphs, {name: _exclusive_cycles(g) for name, g in graphs.items()})
 
 
 def catalog_modules(graphs: dict) -> list:
-    """A representative descriptor list across all families."""
-    out = [(name, g, d) for name, g, d in catalog_nc_modules(graphs)]
+    """A representative descriptor list across all families: the N_c
+    descriptors of ``catalog_nc_modules`` first, then per graph its sink and
+    emitter modules and its V_[c^infinity] and irrational modules.  Each
+    graph's cycles are classified once."""
+    exclusive = {name: _exclusive_cycles(g) for name, g in graphs.items()}
+    out = _nc_entries(graphs, exclusive)
     for name, g in graphs.items():
         for v in g.vertex_list:
             if g.is_sink(v):
                 out.append((name, g, chen.sink_module(g, v)))
             elif g.is_infinite_emitter(v):
                 out.append((name, g, chen.inf_emitter_module(g, v)))
+        for c in exclusive[name]:
+            spec = chen.rational_tail(g, vertex_path(c.base), c)
+            out.append((name, g, chen.valpha_module(g, spec)))
         cycles = enumerate_cycles(g, 2)
-        for c in cycles:
-            if classify_cycle(g, c, g.vertices).exclusive:
-                spec = chen.rational_tail(g, vertex_path(c.base), c)
-                out.append((name, g, chen.valpha_module(g, spec)))
         for c in cycles:
             crossing = [d for d in cycles if d != c and d.vertex_set & c.vertex_set]
             if crossing:
@@ -429,7 +441,8 @@ def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) 
 
 def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
     failed = {}
-    nc_modules = catalog_nc_modules(graphs)
+    modules = catalog_modules(graphs)
+    nc_modules = [(name, g, d) for name, g, d in modules if isinstance(d, chen.NcModule)]
     for name, g, d in nc_modules:
         sys = chen.build_module(g, d)
         rep = check_axioms(sys, t)
@@ -444,7 +457,7 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
         if not gar.passed:
             failed["ghost"] = f"{name} {d.label()}"
 
-    for name, g, d in catalog_modules(graphs):
+    for name, g, d in modules:
         rep, missing = check_annihilator(g, d, chen.annihilator(g, d), t)
         if not rep.passed:
             failed["ann"] = f"{name} {d.label()}: {rep.failures[:1]}"

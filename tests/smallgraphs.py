@@ -13,3 +13,17 @@ def three_vertex_graphs():
         edges = {f"e{s}{t}": (s, t) for i, (s, t) in enumerate(arcs) if mask >> i & 1}
         for bundle in [None] + arcs:
             yield Graph("abc", edges, {"y": bundle} if bundle else {})
+
+
+def two_bundle_graphs(rng, count):
+    """``count`` seeded graphs on a, b, c with at most one edge per ordered
+    pair and two bundles: y, and z out of the target of y.  A bundle can end
+    at an unbroken breaking vertex only in such a graph, since that vertex
+    emits a bundle of its own.  The first graph is the smallest case,
+    y: a -> b, z: b -> c and an edge b -> a, with H = {c} and S empty."""
+    arcs = list(itertools.product("abc", repeat=2))
+    yield Graph("abc", {"eba": ("b", "a")}, {"y": ("a", "b"), "z": ("b", "c")})
+    for _ in range(count - 1):
+        edges = {f"e{s}{t}": (s, t) for s, t in arcs if rng.random() < 0.3}
+        s, t = rng.choice(arcs)
+        yield Graph("abc", edges, {"y": (s, t), "z": (t, rng.choice("abc"))})

@@ -136,6 +136,17 @@ class TestStar:
             a = random_element(g, rng)
             assert alg.star(alg.star(a)) == a
 
+    def test_star_of_a_normal_form_is_normal(self):
+        # star builds its result without the rewrite; running it must change nothing
+        rng = random.Random(20)
+        for g in CATALOG.values():
+            for field in (QQ, PrimeField(7)):
+                for _ in range(25):
+                    a = random_element(g, rng, max_len=4, max_terms=4, field=field)
+                    s = alg.star(a)
+                    assert s == alg.normal_form(s)
+                    assert alg.star(s) == a
+
     def test_breaking_element_self_adjoint(self):
         vH = alg.vertex(G2, "v") - alg.edge(G2, "c") * alg.star(alg.edge(G2, "c"))
         assert alg.star(vH) == vH

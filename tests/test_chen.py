@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from leavitt import algebra as alg
-from leavitt import chen, graphs
+from leavitt import chen, graphs, verification
 from leavitt.branching import ModuleVector, Truncation, act, check_axioms
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
 from leavitt.errors import InputError, InternalCheckError, WindowOverflow
@@ -555,6 +555,20 @@ class TestTrustedInternals:
             check_axioms(sys, Truncation(5, 2))
         assert calls == []
         assert len(systems) == 18
+
+    def test_catalog_lists_classify_each_cycle_once(self, monkeypatch):
+        calls = []
+        for mod in (verification, chen):
+            classify = mod.classify_cycle
+            monkeypatch.setattr(
+                mod, "classify_cycle", lambda g, c, V, _f=classify: calls.append(c) or _f(g, c, V)
+            )
+        modules = catalog_modules(CATALOG)
+        assert len(calls) == sum(len(enumerate_cycles(g, 2)) for g in CATALOG.values())
+        nc = [entry for entry in modules if isinstance(entry[2], chen.NcModule)]
+        assert modules[: len(nc)] == nc == verification.catalog_nc_modules(CATALOG)
+        for name, g, d in nc:
+            assert d == chen.nc_module(g, d.cycle, d.v)
 
 
 class TestShiftIso:

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from leavitt.branching import AxiomReport, Truncation
 from leavitt.catalog import CATALOG, G2, G3, G4
 from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
+from leavitt.graphs import enumerate_paths, ref_str
 from leavitt.graphio import (
     emit_graph,
     parse_element,
@@ -20,6 +23,8 @@ from leavitt.graphio import (
 from leavitt import algebra as alg
 from leavitt import ideals as idl
 from leavitt import verification
+from exprparse import parse_element_oracle
+from smallgraphs import three_vertex_graphs
 
 G3_TEXT = """
 # entry edge into a loop, bundle to a sink
@@ -133,6 +138,34 @@ class TestExpressionParser:
         with pytest.raises(InputError):
             parse_element(G3, "(e")
 
+    def test_nesting_limit(self):
+        assert parse_element(G3, "(" * 100 + "u" + ")" * 100) == alg.vertex(G3, "u")
+        assert parse_element(G3, "(u) " * 300) == alg.vertex(G3, "u")  # siblings, not depth
+        for text in ("(" * 101 + "u" + ")" * 101, "(" * 5000):
+            with pytest.raises(InputError, match="nests deeper than 100 parentheses"):
+                parse_element(G3, text)
+
+    def test_terms_fold_without_element_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the parser built an intermediate element")
+
+        monkeypatch.setattr(alg, "multiply", refuse)
+        monkeypatch.setattr(alg, "star", refuse)
+        calls = []
+        normalize = alg._normalize
+        monkeypatch.setattr(alg, "_normalize", lambda g, raw: calls.append(g) or normalize(g, raw))
+        # two outer terms each, and the three inside the groups
+        cases = {"3 b[1] e (b[1] e)* + 1/2 (u - e e*) e": 5, "2 e c (c c)* - (u - e e*)*": 5}
+        parsed = {}
+        for text, terms in cases.items():
+            calls.clear()
+            parsed[text] = parse_element(G3, text)
+            assert len(calls) == terms, text
+        monkeypatch.undo()
+        for text, a in parsed.items():
+            assert a == parse_element_oracle(G3, text)
+        assert str(parsed["2 e c (c c)* - (u - e e*)*"]) == "-u + 2 e c* + e e*"
+
     def test_parse_monomial(self):
         m = parse_monomial(G3, "e c")
         assert str(m.p) == "ec" and m.q.is_vertex
@@ -140,6 +173,81 @@ class TestExpressionParser:
             parse_monomial(G3, "e + c")
         with pytest.raises(InputError):
             parse_monomial(G3, "2 e")
+
+
+def _random_expression(rng, g, depth=0):
+    """A seeded expression over g: signs, integer and a/b scalars (some 0 or
+    undefined mod 7), bare scalars, bundle refs, stars and doubled stars,
+    starred groups, groups nested up to depth 4, and now and then a bundle
+    without its index or an unknown name."""
+    paths = list(enumerate_paths(g, 2, 2))
+    names = list(g.vertex_list) + [ref_str(r) for v in g.vertex_list for r in g.out_refs(v, 3)]
+    terms = []
+    for i in range(rng.randint(1, 3)):
+        sign = rng.choice(["", "", "-", "+"]) if i == 0 else rng.choice(["+", "-"])
+        scalar = rng.choice(["", "", "", "", "", "2", "1/2", "3/4", "7", "14/3", "0"])
+        if rng.random() < 0.02:
+            scalar = rng.choice(["1/7", "2/7", "1/0"])  # undefined in GF(7)
+        factors = []
+        shape = rng.random()
+        if shape < 0.1 and scalar:
+            pass  # a bare scalar: that multiple of the identity
+        elif shape < 0.5:
+            # p q*, spelled as the bench pool spells it: atoms, then a starred group
+            p = rng.choice(paths)
+            q = rng.choice([x for x in paths if x.end == p.end])
+            factors = [ref_str(r) for r in p.steps] or [p.start]
+            if q.steps:
+                factors.append("(" + " ".join(ref_str(r) for r in reversed(q.steps)) + ")*")
+        else:
+            for _ in range(rng.randint(1, 3)):
+                if depth < 3 and rng.random() < 0.3:
+                    f = "(" + _random_expression(rng, g, depth + 1) + ")"
+                elif rng.random() < 0.03:
+                    f = rng.choice(sorted(g.bundles) or ["zz"]) if rng.random() < 0.7 else "zz"
+                else:
+                    f = rng.choice(names)
+                factors.append(f + rng.choice(["", "", "", "*", "**"]))
+        terms.append(" ".join(x for x in (sign, scalar, *factors) if x))
+    return " ".join(terms)
+
+
+def _outcome(parse, g, text, field):
+    try:
+        a = parse(g, text, field)
+    except InputError as exc:
+        return "error", str(exc)
+    return a, str(a)
+
+
+class TestParserOracle:
+    def test_agrees_with_the_operator_route(self):
+        rng = random.Random(20)
+        graphs = list(CATALOG.values()) + list(itertools.islice(three_vertex_graphs(), 0, None, 97))
+        seen = dict.fromkeys(["element", "zero", "error", "**", ")*", "[", "/", "- "], 0)
+        depths, errors = set(), set()
+        for g in graphs:
+            for field in (QQ, PrimeField(7)):
+                for _ in range(30):
+                    text = _random_expression(rng, g)
+                    new = _outcome(parse_element, g, text, field)
+                    old = _outcome(parse_element_oracle, g, text, field)
+                    assert new == old, (g.edges, g.bundles, field.name, text)
+                    if new[0] == "error":
+                        errors.add(new[1].split(" ")[0])
+                        seen["error"] += 1
+                    else:
+                        seen["zero" if new[0].is_zero else "element"] += 1
+                    for feature in ("**", ")*", "[", "/", "- "):
+                        seen[feature] += feature in text
+                    level = 0
+                    for ch in text:
+                        level += (ch == "(") - (ch == ")")
+                        depths.add(level)
+        assert seen["element"] > 1500 and seen["zero"] > 500 and 100 < seen["error"] < 700, seen
+        assert min(seen.values()) > 100, seen
+        assert depths == {0, 1, 2, 3, 4}
+        assert errors == {"scalar", "bundle", "unknown"}, errors
 
 
 class TestDot:
@@ -562,6 +670,11 @@ MALFORMED = {
         G2_TEXT,
         ["act", "FILE", "--module", "nc:c@v", "--element", "v",
          "--basis", "c c c c c c c"],
+    ),
+    "element nested 3000 parentheses deep": (
+        G3_TEXT,
+        ["act", "FILE", "--module", "sink:w", "--element", "(" * 3000 + "u" + ")" * 3000,
+         "--basis", "e"],
     ),
 }
 

@@ -19,7 +19,7 @@ from leavitt.graphs import (
     is_saturated,
     root,
 )
-from smallgraphs import three_vertex_graphs
+from smallgraphs import three_vertex_graphs, two_bundle_graphs
 
 
 def pair(g, H, S=()):
@@ -361,34 +361,55 @@ def _assert_maps_agree(g, p, a):
     return new
 
 
+def _agree_on_every_pair(graphs, rng):
+    """Compare the direct map with the closures on every admissible pair of
+    each graph, each time on a random two-term element, alternately over QQ
+    and GF(7).  Returns how many pairs were checked, how many images were
+    nonzero, how many pairs have an unbroken breaking vertex, and how many
+    images hold a primed vertex or a primed bundle step."""
+    fields = (QQ, PrimeField(7))
+    n = dict.fromkeys(["pairs", "nonzero", "unbroken", "primed", "primed bundle"], 0)
+    for g in graphs:
+        paths = list(enumerate_paths(g, 2, 2))
+        by_end = {}
+        for x in paths:
+            by_end.setdefault(x.end, []).append(x)
+        for p in idl.enumerate_admissible_pairs(g):
+            qg = idl.quotient_graph(g, p)
+            # a term ranging at an unbroken vertex, if the pair has one
+            ends = sorted(qg.primed_vertices)
+            x = rng.choice(by_end[rng.choice(ends)] if ends else paths)
+            y = rng.choice(by_end[x.end])
+            w = rng.choice(paths)
+            field = fields[n["pairs"] % 2]
+            raw = [(alg.Monomial(x, y), field.coerce(rng.choice([1, -1, 2, 3]))),
+                   (alg.Monomial(w, w), field.one)]
+            img = _assert_maps_agree(g, p, alg.AlgebraElement(g, field, raw))
+            n["pairs"] += 1
+            n["nonzero"] += not img.is_zero
+            primes = qg.primed_vertices.values()
+            n["primed"] += any(m.p.end in primes for m in img.terms)
+            n["unbroken"] += bool(ends)
+            primed_bundles = set(qg.primed_edges.values()) & set(qg.graph.bundles)
+            n["primed bundle"] += any(
+                isinstance(step, tuple) and step[0] in primed_bundles
+                for m in img.terms
+                for step in m.p.steps + m.q.steps
+            )
+    return n
+
+
 class TestDirectQuotientMap:
     def test_agrees_with_closures_on_all_three_vertex_graphs(self):
-        rng = random.Random(18)
-        fields = (QQ, PrimeField(7))
-        pairs = nonzero = primed = unbroken = 0
-        for g in three_vertex_graphs():
-            paths = list(enumerate_paths(g, 2, 2))
-            by_end = {}
-            for x in paths:
-                by_end.setdefault(x.end, []).append(x)
-            for p in idl.enumerate_admissible_pairs(g):
-                qg = idl.quotient_graph(g, p)
-                # a term ranging at an unbroken vertex, if the pair has one
-                ends = sorted(qg.primed_vertices)
-                x = rng.choice(by_end[rng.choice(ends)] if ends else paths)
-                y = rng.choice(by_end[x.end])
-                w = rng.choice(paths)
-                field = fields[pairs % 2]
-                raw = [(alg.Monomial(x, y), field.coerce(rng.choice([1, -1, 2, 3]))),
-                       (alg.Monomial(w, w), field.one)]
-                img = _assert_maps_agree(g, p, alg.AlgebraElement(g, field, raw))
-                pairs += 1
-                nonzero += not img.is_zero
-                primes = qg.primed_vertices.values()
-                primed += any(m.p.end in primes for m in img.terms)
-                unbroken += bool(ends)
-        assert pairs == 16_084 and nonzero > pairs // 2
-        assert unbroken == 888 and primed > unbroken // 2
+        n = _agree_on_every_pair(three_vertex_graphs(), random.Random(18))
+        assert n["pairs"] == 16_084 and n["nonzero"] > n["pairs"] // 2
+        assert n["unbroken"] == 888 and n["primed"] > n["unbroken"] // 2
+        # one bundle cannot end at a breaking vertex, which emits a bundle too
+        assert n["primed bundle"] == 0
+
+    def test_agrees_with_closures_on_two_bundle_graphs(self):
+        n = _agree_on_every_pair(two_bundle_graphs(random.Random(20), 400), random.Random(20))
+        assert n["unbroken"] > 50 and n["primed bundle"] >= 20, n
 
     def test_agrees_with_closures_on_catalog_products(self):
         rng = random.Random(19)
