@@ -29,7 +29,7 @@ from .graphio import (
     parse_steps,
     to_dot,
 )
-from .graphs import breaking_vertices, rational_tail
+from .graphs import rational_tail
 from .verification import check_annihilator, run_suites
 
 
@@ -173,17 +173,6 @@ def _text_lines(obj, prefix=""):
     return lines
 
 
-def _pair_record(g, pair) -> dict:
-    B = breaking_vertices(g, pair.H)
-    return {
-        "H": sorted(pair.H),
-        "S": sorted(pair.S),
-        "B_H": sorted(B),
-        "proper": idl.is_proper(g, pair),
-        "zero": idl.is_zero_pair(pair),
-    }
-
-
 def _classification_record(g, pair) -> dict:
     record = cls.classify_graded_ideal(g, pair)
     case = record.case
@@ -212,14 +201,20 @@ def _classification_record(g, pair) -> dict:
 
 def cmd_pairs(args) -> int:
     doc = _load_document(args.file)
-    pairs = idl.enumerate_admissible_pairs(doc.graph)
-    report = {
-        "graph": args.file,
-        "count": len(pairs),
-        "pairs": [
-            dict(label=p.label(), **_pair_record(doc.graph, p)) for p in pairs
-        ],
-    }
+    n = len(doc.graph.vertices)
+    records = []
+    for H, B in idl.hereditary_saturated_sets(doc.graph):
+        h_label, H, B = ",".join(H), list(H), list(B)
+        for S in idl.sorted_subsets(B):
+            records.append({
+                "label": f"({{{h_label}}},{{{','.join(S)}}})",
+                "H": H,
+                "S": list(S),
+                "B_H": B,
+                "proper": len(H) != n,
+                "zero": not H and not S,
+            })
+    report = {"graph": args.file, "count": len(records), "pairs": records}
     _emit(report, args.json)
     return 0
 

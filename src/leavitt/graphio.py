@@ -253,23 +253,20 @@ def to_dot(g: Graph, quotient: Optional[QuotientGraph] = None, name: str = "grap
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])?)"
-    r"|(?P<op>[()+*-]))"
+    r"|(?P<op>[()+*-])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
-    """The token list, ending in a ``(None, None)`` sentinel."""
-    pos = 0
+    """The token list, ending in a ``(None, None)`` sentinel, from one scan:
+    the ``bad`` group catches any other character."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            rest = text[m.start(kind):].rstrip()
             raise InputError(f"bad token at {rest[:10]!r} in expression")
-        out.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
+        out.append((kind, m[kind]))
     out.append((None, None))
     return out
 

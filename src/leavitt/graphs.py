@@ -47,6 +47,7 @@ class _Analysis:
         "atoms",
         "breaking",
         "quotients",
+        "lattice",
     )
 
     def __init__(self):
@@ -61,6 +62,7 @@ class _Analysis:
         self.atoms = {}  # expression name -> its unit Monomial, filled by graphio
         self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
+        self.lattice = None  # the vertex sets as bitmasks, see _lattice
 
 
 class Graph:
@@ -550,19 +552,80 @@ def is_saturated(g: Graph, H: Iterable[str]):
     return True, None
 
 
+class _Lattice:
+    """The vertex sets of one graph as int bitmasks, for the pair lattice.
+
+    ``order`` lists the vertices by decreasing |T(v)|, ties broken by name,
+    and the vertex at position i has bit ``1 << i``.  A vertex reaching w
+    outside its strongly connected component has a larger tree than w, so
+    it comes before w.
+    """
+
+    __slots__ = ("order", "by_name", "trees", "saturating", "emitters")
+
+    def __init__(self, g: Graph):
+        self.order = tuple(sorted(g.vertex_list, key=lambda v: (-len(_tree_of(g, v)), v)))
+        bit = {v: 1 << i for i, v in enumerate(self.order)}
+
+        def mask(vertices):
+            return sum(bit[v] for v in set(vertices))
+
+        self.by_name = tuple((v, bit[v]) for v in g.vertex_list)  # (v, bit), sorted
+        self.trees = tuple(mask(_tree_of(g, v)) for v in self.order)  # T(v) by position
+        # (bit, targets) of each regular vertex on no cycle, last position
+        # first.  A vertex on a cycle is in every hereditary set holding its
+        # targets, and the targets of one on no cycle come after it.
+        regular = _regular_targets(g)
+        self.saturating = tuple(
+            (bit[v], mask(regular[v]))
+            for v in reversed(self.order)
+            if v in regular and not any(v in _tree_of(g, t) for t in regular[v])
+        )
+        # (v, bit, bundle targets, edge targets) of each infinite emitter, sorted
+        self.emitters = tuple(
+            (
+                v,
+                bit[v],
+                mask(g.bundles[b][1] for b in g._out_bundles[v]),
+                mask(g.edges[e][1] for e in g._out_edges[v]),
+            )
+            for v in g.vertex_list
+            if g._out_bundles[v]
+        )
+
+    def closure(self, V: int) -> int:
+        """The least hereditary saturated superset of the set V.
+
+        H starts as the OR of the trees of V, which is hereditary.  Adding a
+        regular vertex whose targets lie in H keeps H hereditary, and one
+        pass over ``saturating`` reaches the fixed point: each target of a
+        vertex has had its turn before the vertex.
+        """
+        trees, H = self.trees, 0
+        while V:
+            low = V & -V
+            H |= trees[low.bit_length() - 1]
+            V &= ~H
+        for bit, targets in self.saturating:
+            if not targets & ~H:
+                H |= bit
+        return H
+
+
+def _lattice(g: Graph) -> _Lattice:
+    """The bitmask tables of g, built once per graph."""
+    analysis = g._analysis
+    if analysis.lattice is None:
+        analysis.lattice = _Lattice(g)
+    return analysis.lattice
+
+
 def hereditary_saturated_closure(g: Graph, V: Iterable[str]) -> frozenset:
     """Least hereditary and saturated superset of V (fixed point of both rules)."""
-    H = set(tree(g, V))
-    regular_targets = _regular_targets(g)
-    changed = True
-    while changed:
-        changed = False
-        for v, targets in regular_targets.items():
-            if v not in H and targets <= H:
-                H.add(v)
-                H |= _tree_of(g, v)
-                changed = True
-    return frozenset(H)
+    lattice = _lattice(g)
+    bit = dict(lattice.by_name)
+    H = lattice.closure(sum(bit[v] for v in g.check_vertices(V)))
+    return frozenset(v for v, b in lattice.by_name if H & b)
 
 
 def is_downwards_directed(g: Graph, V: Iterable[str]):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import algebra as alg
 from .errors import InputError
@@ -23,10 +22,9 @@ from .graphs import (
     Cycle,
     Graph,
     Path,
-    _breaking_vertices,
+    _lattice,
     breaking_vertices,
     classify_cycle,
-    hereditary_saturated_closure,
     root,
     vertex_path,
 )
@@ -64,39 +62,72 @@ def is_zero_pair(pair: AdmissiblePair) -> bool:
 
 
 def enumerate_admissible_pairs(g: Graph) -> list:
-    """Every (H, S), each exactly once, in deterministic order.
+    """Every (H, S), each exactly once, sorted by ``AdmissiblePair.sort_key``.
 
-    Includes the zero pair and the improper pair H = E^0.  The hereditary
-    saturated sets H are listed by Ganter's NextClosure over
-    ``hereditary_saturated_closure``, so the cost grows with the number of
-    such sets rather than with the 2^n vertex subsets.
+    Includes the zero pair and the improper pair H = E^0.  The sets H come
+    from ``hereditary_saturated_sets``: Ganter's NextClosure on int bitmasks
+    built once per graph, with the vertices numbered by decreasing |T(v)|,
+    ties broken by name.  A vertex then comes before every vertex it reaches
+    outside its strongly connected component, so its tree adds no earlier
+    vertex outside that component, and few closures fail the lectic test.
+    The cost follows the number of sets H, not the 2^n vertex subsets.  The
+    sets S of each H are ``sorted_subsets`` of its B_H, so no pair list is
+    sorted.
     """
     pairs = []
-    H = hereditary_saturated_closure(g, ())
-    while H is not None:
-        B = sorted(_breaking_vertices(g, H))
-        for k in range(len(B) + 1):
-            for s_combo in itertools.combinations(B, k):
-                pairs.append(AdmissiblePair(H, frozenset(s_combo)))
-        H = _next_closed(g, H)
-    pairs.sort(key=AdmissiblePair.sort_key)
+    for H, B in hereditary_saturated_sets(g):
+        H = frozenset(H)
+        pairs.extend(AdmissiblePair(H, frozenset(S)) for S in sorted_subsets(B))
     return pairs
 
 
-def _next_closed(g: Graph, H: frozenset) -> Optional[frozenset]:
-    """The hereditary saturated set after H in lectic order (None after the
-    last, E^0).  Vertices are ordered as in ``g.vertex_list``; the successor
-    is the closure of (H below v) + {v} for the largest v not in H whose
-    closure adds nothing below v."""
-    below = set(H)
-    for v in reversed(g.vertex_list):
-        if v in below:
-            below.discard(v)
-            continue
-        closed = hereditary_saturated_closure(g, below | {v})
-        if all(u in below for u in closed if u < v):
-            return closed
-    return None
+def hereditary_saturated_sets(g: Graph):
+    """Yield (H, B_H) as sorted tuples of vertex names for every hereditary
+    saturated set H, in sorted-H order (see ``enumerate_admissible_pairs``).
+
+    B_H of each yielded H is remembered in ``g._analysis.breaking``, where
+    it counts as validated.
+    """
+    lattice = _lattice(g)
+    n = len(lattice.order)
+    H = lattice.closure(0)
+    closed = [H]
+    while H != (1 << n) - 1:
+        # the successor of H in lectic order: the closure of (H below i) + i
+        # for the largest position i outside H whose closure adds nothing
+        # below i
+        for i in range(n - 1, -1, -1):
+            bit = 1 << i
+            if H & bit:
+                continue
+            below = H & (bit - 1)
+            C = lattice.closure(below | bit)
+            if C & (bit - 1) == below:
+                H = C
+                closed.append(H)
+                break
+    found = []
+    for H in closed:
+        names = tuple(v for v, bit in lattice.by_name if H & bit)
+        B = tuple(
+            v
+            for v, bit, bundle_targets, edge_targets in lattice.emitters
+            if not H & bit and not bundle_targets & ~H and edge_targets & ~H
+        )
+        found.append((names, B))
+    found.sort()
+    breaking = g._analysis.breaking
+    for names, B in found:
+        breaking[frozenset(names)] = frozenset(B)
+        yield names, B
+
+
+def sorted_subsets(B: tuple) -> list:
+    """Every subset of the sorted tuple B, as sorted tuples in
+    lexicographic order: the order of S in ``AdmissiblePair.sort_key``."""
+    return sorted(
+        itertools.chain.from_iterable(itertools.combinations(B, k) for k in range(len(B) + 1))
+    )
 
 
 def ideal_generators(g: Graph, pair: AdmissiblePair, field=QQ) -> list:

@@ -3,15 +3,44 @@
 This is the parser leavitt used before terms were folded at the monomial
 level.  Each atom, star and partial product is a whole ``AlgebraElement``,
 built with ``alg.vertex``, ``alg.edge``, ``alg.star``, ``*``, ``+`` and
-``scale``.  It reads the same token list as the library parser, so both
-routes must give equal elements, or ``InputError``s with equal messages.
+``scale``.  Both routes must give equal elements, or ``InputError``s with
+equal messages.
+
+The operator-route parser reads its tokens from ``tokenize_oracle``, the
+tokenizer leavitt used before it scanned the text once with ``finditer``:
+one ``match`` per token, and an error at the first place no token matches.
 """
+
+import re
 
 from leavitt import algebra as alg
 from leavitt.errors import InputError
 from leavitt.fields import QQ
-from leavitt.graphio import _tokenize, parse_ref
+from leavitt.graphio import parse_ref
 from leavitt.graphs import Graph
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\[\d+\])?)"
+    r"|(?P<op>[()+*-]))"
+)
+
+
+def tokenize_oracle(text: str):
+    """The token list, ending in a ``(None, None)`` sentinel."""
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            rest = text[pos:].strip()
+            if not rest:
+                break
+            raise InputError(f"bad token at {rest[:10]!r} in expression")
+        out.append((m.lastgroup, m.group(m.lastgroup)))
+        pos = m.end()
+    out.append((None, None))
+    return out
 
 
 class _ExprParser:
@@ -118,4 +147,4 @@ class _ExprParser:
 
 
 def parse_element_oracle(g: Graph, text: str, field=QQ) -> alg.AlgebraElement:
-    return _ExprParser(g, field, _tokenize(text)).parse()
+    return _ExprParser(g, field, tokenize_oracle(text)).parse()

@@ -27,3 +27,14 @@ def two_bundle_graphs(rng, count):
         edges = {f"e{s}{t}": (s, t) for s, t in arcs if rng.random() < 0.3}
         s, t = rng.choice(arcs)
         yield Graph("abc", edges, {"y": (s, t), "z": (t, rng.choice("abc"))})
+
+
+def fan(k):
+    """A sink s, a hub w, and emitters u_0..u_{k-1}, each with a bundle into
+    s and edges u_i -> w -> u_i.  B_{s} is every u_i, so it has k vertices,
+    and for k >= 2 the S subsets of an H do not come in ``combinations``
+    order."""
+    us = [f"u{i}" for i in range(k)]
+    edges = {f"a{i}": (u, "w") for i, u in enumerate(us)}
+    edges.update({f"r{i}": ("w", u) for i, u in enumerate(us)})
+    return Graph(["s", "w"] + us, edges, {f"b{i}": (u, "s") for i, u in enumerate(us)})

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from leavitt import classify as cls
 from leavitt import cli
 from leavitt.branching import AxiomReport, Truncation
-from leavitt.catalog import CATALOG, G2, G3, G4
+from leavitt.catalog import CATALOG, G2, G3, G4, random_graph
 from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
-from leavitt.graphs import enumerate_paths, ref_str
+from leavitt.graphs import breaking_vertices, enumerate_paths, ref_str
 from leavitt.graphio import (
+    _tokenize,
     emit_graph,
     parse_element,
     parse_graph_document,
@@ -23,8 +24,8 @@ from leavitt.graphio import (
 from leavitt import algebra as alg
 from leavitt import ideals as idl
 from leavitt import verification
-from exprparse import parse_element_oracle
-from smallgraphs import three_vertex_graphs
+from exprparse import parse_element_oracle, tokenize_oracle
+from smallgraphs import fan, three_vertex_graphs, two_bundle_graphs
 
 G3_TEXT = """
 # entry edge into a loop, bundle to a sink
@@ -220,30 +221,36 @@ def _outcome(parse, g, text, field):
     return a, str(a)
 
 
+def _expression_corpus():
+    """(graph, field, text) for 3,540 seeded expressions over G1-G6 and every
+    97th three-vertex graph, over QQ and GF(7)."""
+    rng = random.Random(20)
+    graphs = list(CATALOG.values()) + list(itertools.islice(three_vertex_graphs(), 0, None, 97))
+    for g in graphs:
+        for field in (QQ, PrimeField(7)):
+            for _ in range(30):
+                yield g, field, _random_expression(rng, g)
+
+
 class TestParserOracle:
     def test_agrees_with_the_operator_route(self):
-        rng = random.Random(20)
-        graphs = list(CATALOG.values()) + list(itertools.islice(three_vertex_graphs(), 0, None, 97))
         seen = dict.fromkeys(["element", "zero", "error", "**", ")*", "[", "/", "- "], 0)
         depths, errors = set(), set()
-        for g in graphs:
-            for field in (QQ, PrimeField(7)):
-                for _ in range(30):
-                    text = _random_expression(rng, g)
-                    new = _outcome(parse_element, g, text, field)
-                    old = _outcome(parse_element_oracle, g, text, field)
-                    assert new == old, (g.edges, g.bundles, field.name, text)
-                    if new[0] == "error":
-                        errors.add(new[1].split(" ")[0])
-                        seen["error"] += 1
-                    else:
-                        seen["zero" if new[0].is_zero else "element"] += 1
-                    for feature in ("**", ")*", "[", "/", "- "):
-                        seen[feature] += feature in text
-                    level = 0
-                    for ch in text:
-                        level += (ch == "(") - (ch == ")")
-                        depths.add(level)
+        for g, field, text in _expression_corpus():
+            new = _outcome(parse_element, g, text, field)
+            old = _outcome(parse_element_oracle, g, text, field)
+            assert new == old, (g.edges, g.bundles, field.name, text)
+            if new[0] == "error":
+                errors.add(new[1].split(" ")[0])
+                seen["error"] += 1
+            else:
+                seen["zero" if new[0].is_zero else "element"] += 1
+            for feature in ("**", ")*", "[", "/", "- "):
+                seen[feature] += feature in text
+            level = 0
+            for ch in text:
+                level += (ch == "(") - (ch == ")")
+                depths.add(level)
         assert seen["element"] > 1500 and seen["zero"] > 500 and 100 < seen["error"] < 700, seen
         assert min(seen.values()) > 100, seen
         assert depths == {0, 1, 2, 3, 4}
@@ -502,6 +509,47 @@ class TestCommands:
         assert parse_graph_document(out).graph == G3
 
 
+def _pair_record(g, pair) -> dict:
+    B = breaking_vertices(g, pair.H)
+    return {
+        "H": sorted(pair.H),
+        "S": sorted(pair.S),
+        "B_H": sorted(B),
+        "proper": idl.is_proper(g, pair),
+        "zero": idl.is_zero_pair(pair),
+    }
+
+
+def _per_pair_report(command, path, g):
+    """The report of ``pairs`` or ``classify --all`` built one pair at a time
+    from ``enumerate_admissible_pairs``: the route ``cmd_pairs`` took before
+    it built its records once per H."""
+    pairs = idl.enumerate_admissible_pairs(g)
+    if command == "pairs":
+        records = [dict(label=p.label(), **_pair_record(g, p)) for p in pairs]
+        return {"graph": path, "count": len(pairs), "pairs": records}
+    records = [cli._classification_record(g, p) for p in pairs if idl.is_proper(g, p)]
+    return {"graph": path, "records": records}
+
+
+class TestPairRecords:
+    def test_output_matches_per_pair_records(self, capsys, tmp_path):
+        rng = random.Random(21)
+        graphs = list(CATALOG.values()) + [fan(k) for k in range(2, 6)]
+        graphs += list(two_bundle_graphs(random.Random(6), 20))
+        graphs += [random_graph(rng, 7, 12, 3) for _ in range(50)]
+        for i, g in enumerate(graphs):
+            path = tmp_path / f"g{i}.graph"
+            path.write_text(emit_graph(g))
+            for command, extra in (("pairs", []), ("classify", ["--all"])):
+                for flags in ([], ["--json"]):
+                    code, out, _ = run_cli(capsys, *flags, command, str(path), *extra)
+                    assert code == 0
+                    doc = parse_graph_document(path.read_text())
+                    cli._emit(_per_pair_report(command, str(path), doc.graph), bool(flags))
+                    assert capsys.readouterr().out == out, (command, flags, g.edges, g.bundles)
+
+
 class TestVerifyCommand:
     def test_catalog_passes(self, capsys):
         code, out, _ = run_cli(
@@ -741,3 +789,36 @@ def test_elements_raise_only_input_error(text, field):
         parse_element(G3, text, field)
     except InputError:
         pass
+
+
+def _tokens(tokenize, text):
+    try:
+        return tokenize(text)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+# Texts with a character no token starts with, and blank or padded texts.
+BAD_TOKENS = [
+    "", "   ", "u\n\t ", "u $ v", "u  $  ", "$", "  $", "b[x]", "b[0", "e ]", "1/",
+    "1/x", "u,v", "u\u00a0+\u00a0v", "u \u00a0", "\u65e5\u672c u", "u\x1c", "(u) !",
+    "a" * 20 + " $" + "b" * 20, "u " + "%" * 3 + " \n\n", "2 e c (c c)* - (u - e e*)*?",
+]
+
+
+class TestTokenizerOracle:
+    def test_one_scan_matches_the_per_token_loop(self):
+        texts = [text for _, _, text in _expression_corpus()] + BAD_TOKENS
+        texts += [argv[argv.index("--element") + 1] for _, argv in MALFORMED.values()
+                  if "--element" in argv]
+        errors = 0
+        for text in texts:
+            tokens = _tokens(_tokenize, text)
+            assert tokens == _tokens(tokenize_oracle, text), text
+            errors += tokens[0] == "error"
+        assert errors == 15 and len(texts) > 3500  # BAD_TOKENS has 15 stray characters
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(max_size=20) | _ELEMENT)
+    def test_one_scan_matches_on_any_text(self, text):
+        assert _tokens(_tokenize, text) == _tokens(tokenize_oracle, text)

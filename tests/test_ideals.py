@@ -11,15 +11,21 @@ from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
 from leavitt.graphs import (
     Graph,
+    _breaking_vertices,
+    _lattice,
+    _regular_targets,
+    _tree_of,
     breaking_vertices,
     enumerate_cycles,
     enumerate_paths,
+    hereditary_saturated_closure,
     is_downwards_directed,
     is_hereditary,
     is_saturated,
     root,
+    tree,
 )
-from smallgraphs import three_vertex_graphs, two_bundle_graphs
+from smallgraphs import fan, three_vertex_graphs, two_bundle_graphs
 
 
 def pair(g, H, S=()):
@@ -40,6 +46,56 @@ def _subset_pairs(g):
                     pairs.append(idl.AdmissiblePair(H, frozenset(s_combo)))
     pairs.sort(key=idl.AdmissiblePair.sort_key)
     return pairs
+
+
+def _frozenset_closure(g, V):
+    """Oracle of the bitmask closure: least hereditary and saturated
+    superset of V, on frozensets (fixed point of both rules)."""
+    H = set(tree(g, V))
+    regular_targets = _regular_targets(g)
+    changed = True
+    while changed:
+        changed = False
+        for v, targets in regular_targets.items():
+            if v not in H and targets <= H:
+                H.add(v)
+                H |= _tree_of(g, v)
+                changed = True
+    return frozenset(H)
+
+
+def _next_closed(g, H):
+    """The hereditary saturated set after H in lectic order (None after the
+    last, E^0).  Vertices are ordered as in ``g.vertex_list``; the successor
+    is the closure of (H below v) + {v} for the largest v not in H whose
+    closure adds nothing below v."""
+    below = set(H)
+    for v in reversed(g.vertex_list):
+        if v in below:
+            below.discard(v)
+            continue
+        closed = _frozenset_closure(g, below | {v})
+        if all(u in below for u in closed if u < v):
+            return closed
+    return None
+
+
+def _next_closure_route(g):
+    """Oracle of the bitset lattice: the sets H from frozenset NextClosure in
+    ``vertex_list`` order, and the pairs sorted by ``AdmissiblePair.sort_key``.
+    It runs on a copy of g, so no B_H remembered by the fast route is read."""
+    g = Graph(g.vertices, g.edges, g.bundles)
+    sets, pairs = [], []
+    H = _frozenset_closure(g, ())
+    while H is not None:
+        sets.append(H)
+        B = sorted(breaking_vertices(g, H))
+        for k in range(len(B) + 1):
+            for s_combo in itertools.combinations(B, k):
+                pairs.append(idl.AdmissiblePair(H, frozenset(s_combo)))
+        H = _next_closed(g, H)
+    pairs.sort(key=idl.AdmissiblePair.sort_key)
+    return sorted(sets, key=sorted), pairs
 
 
 def _error(fn, *args):
@@ -86,6 +142,39 @@ class TestAdmissiblePairs:
             g = random_graph(rng)
             assert idl.enumerate_admissible_pairs(g) == _subset_pairs(g)
 
+    def test_matches_next_closure_route(self):
+        rng = random.Random(3)
+        graphs = list(itertools.islice(three_vertex_graphs(), 0, None, 7))
+        graphs += [random_graph(rng, 7, 12, 3) for _ in range(300)]
+        graphs += list(two_bundle_graphs(random.Random(5), 100))
+        many_sets = 0
+        for g in graphs:
+            sets, pairs = _next_closure_route(g)
+            listed = [frozenset(H) for H, _ in idl.hereditary_saturated_sets(g)]
+            assert listed == sets
+            assert idl.enumerate_admissible_pairs(g) == pairs
+            for v in g.vertex_list:
+                V = {v} | set(sets[len(sets) // 2])
+                assert hereditary_saturated_closure(g, V) == _frozenset_closure(g, V)
+            many_sets += len(sets) > 8
+        assert many_sets > 20
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_fan_s_order(self, k):
+        g = fan(k)
+        pairs = idl.enumerate_admissible_pairs(g)
+        assert pairs == _subset_pairs(g)
+        assert max(len(breaking_vertices(g, p.H)) for p in pairs) == k
+        assert len(pairs) == 2**k + 2  # H = {}, E^0, and {s} with every S
+
+    def test_lattice_order_is_topological(self):
+        rng = random.Random(8)
+        for g in [random_graph(rng, 7, 12, 3) for _ in range(100)]:
+            position = {v: i for i, v in enumerate(_lattice(g).order)}
+            for u in g.vertex_list:
+                for v in tree(g, [u]) - root(g, [u]):
+                    assert position[u] < position[v]
+
     def test_long_looped_chain(self):
         # x00 -> x01 -> ... -> x39, a loop at each: H is a final segment
         vs = [f"x{i:02d}" for i in range(40)]
@@ -128,6 +217,18 @@ class TestBreakingMemo:
             ] == want
             idl.enumerate_admissible_pairs(g3)
             idl.enumerate_admissible_pairs(line)
+
+    def test_enumeration_remembers_each_listed_h(self):
+        rng = random.Random(48)
+        graphs = [Graph(g.vertices, g.edges, g.bundles) for g in CATALOG.values()]
+        graphs += [random_graph(rng, 7, 12, 3) for _ in range(100)] + [fan(4)]
+        for g in graphs:
+            listed = list(idl.hereditary_saturated_sets(g))
+            memo = dict(g._analysis.breaking)
+            assert set(memo) == {frozenset(H) for H, _ in listed}
+            for H, B in listed:
+                assert memo[frozenset(H)] == frozenset(B) == _breaking_vertices(g, frozenset(H))
+                assert list(H) == sorted(H) and list(B) == sorted(B)
 
     def test_s_outside_b_h_raises_on_a_hit(self):
         g = Graph(G2.vertices, G2.edges, G2.bundles)
