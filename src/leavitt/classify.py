@@ -15,6 +15,21 @@ the results are required to agree:
   cycle (case d), with the same constraint on S, phrased through a cycle
   containing both u and a base vertex.
 
+Where each part runs:
+
+* once per H (``_HFacts``, kept per graph): the condition route's pairwise
+  test that the complement is downwards directed, on the tree bitmasks of
+  ``graphs._lattice``; the case route's base vertices, one lookup of the
+  complement among the root bitmasks, and the case of the first of them.
+  The two routes are asserted to agree on H there;
+
+* once per u in B_H, on the first pair that drops u: the case of u, when u
+  is a base vertex;
+
+* once per pair: the test of S against B_H along both routes (S = B_H, or
+  B_H less one u whose root is the complement, a base vertex), asserted to
+  agree.
+
 The strictly-decreasing-infinite-path case of the underlying theorem needs
 infinitely many distinct vertices, so it cannot occur on the finite graphs
 handled here; it is documented, never emitted.
@@ -41,10 +56,10 @@ from .graphs import (
     Graph,
     _classify_cycle,
     _first_cycle,
+    _lattice,
     _root_of,
     breaking_vertices,
     is_downwards_directed,
-    root,
 )
 from .ideals import (
     AdmissiblePair,
@@ -63,13 +78,15 @@ class BaseVertex:
     cycle: Optional[Cycle]
 
 
+# The case that each kind of base vertex puts a graded primitive pair in.
+_CASE_OF_KIND = {"no_edges_out": "3b", "extreme_cycle": "3c", "exclusive_cycle": "3d"}
+
+
 def base_vertices(g: Graph, H) -> list:
-    """All v outside H whose root is the whole complement of H."""
-    return _base_vertices(g, g.vertices - g.check_vertices(H))
-
-
-def _base_vertices(g: Graph, comp: frozenset) -> list:
-    return [v for v in sorted(comp) if _root_of(g, v) == comp]
+    """All v outside H whose root is the whole complement of H: one lookup
+    of the complement among the root bitmasks of ``graphs._lattice``."""
+    lattice = _lattice(g)
+    return list(lattice.by_root.get(lattice.mask(g.vertices - g.check_vertices(H)), ()))
 
 
 def classify_base_vertex(g: Graph, comp: frozenset, v: str) -> BaseVertex:
@@ -104,14 +121,10 @@ def find_base_vertex(g: Graph, H) -> Optional[BaseVertex]:
     None exactly when the complement is not downwards directed (on a finite
     graph a base vertex exists otherwise).
     """
-    comp = g.vertices - admissible_pair(g, H).H
-    if not comp:
+    pair = admissible_pair(g, H)
+    if not is_proper(g, pair):
         raise InputError("the complement of H is empty")
-
-    candidates = _base_vertices(g, comp)
-    if not candidates:
-        return None
-    return classify_base_vertex(g, comp, candidates[0])
+    return _h_facts(g, pair.H).base
 
 
 @dataclass(frozen=True)
@@ -155,67 +168,80 @@ class ClassificationRecord:
         return self.graded_primitive
 
 
-def _s_form(g: Graph, pair: AdmissiblePair) -> Optional[SForm]:
-    """S = B_H, or B_H minus one vertex (identifying it); None otherwise."""
-    B = breaking_vertices(g, pair.H)
-    if pair.S == B:
-        return SForm("full")
-    missing = B - pair.S
-    if len(missing) == 1:
-        return SForm("minus", next(iter(missing)))
-    return None
+class _HFacts:
+    """What the classification of a pair (H, S) reads off H alone, along
+    both routes.  Built by ``_h_facts`` for a proper H known to be
+    hereditary and saturated."""
 
+    __slots__ = ("comp", "B", "not_directed", "bases", "base", "at")
 
-def evaluate_by_condition(g: Graph, pair: AdmissiblePair):
-    """Direct evaluation: downwards directed complement + S of the required
-    shape (root(u) = complement in the minus case)."""
-    comp = g.vertices - pair.H
-    dd, dd_witness = is_downwards_directed(g, comp)
-    if not dd:
-        return False, f"complement not downwards directed (pair {dd_witness})"
-    form = _s_form(g, pair)
-    if form is None:
-        return False, "S misses more than one breaking vertex"
-    if form.kind == "minus" and root(g, [form.u]) != comp:
-        return False, f"root({form.u}) is not the whole complement"
-    return True, None
-
-
-def evaluate_by_cases(g: Graph, pair: AdmissiblePair) -> GradedPrimitiveCase:
-    """Case analysis via a base vertex and its cycle classification."""
-    comp = g.vertices - pair.H
-    bases = _base_vertices(g, comp)
-    if not bases:
-        return GradedPrimitiveCase("none", reason="no base vertex (not downwards directed)")
-    base = classify_base_vertex(g, comp, bases[0])
-    form = _s_form(g, pair)
-    if form is None:
-        return GradedPrimitiveCase("none", reason="S misses more than one breaking vertex")
-    case = {"no_edges_out": "3b", "extreme_cycle": "3c", "exclusive_cycle": "3d"}[
-        base.kind
-    ]
-    if form.kind == "minus":
-        if case == "3b":
-            return GradedPrimitiveCase(
-                "none", reason="case b admits no broken vertex to drop"
+    def __init__(self, g: Graph, H: frozenset):
+        lattice = _lattice(g)
+        self.comp = comp = g.vertices - H
+        self.B = breaking_vertices(g, H)
+        # the condition route: why the complement is not downwards directed
+        directed, pair = is_downwards_directed(g, comp)
+        self.not_directed = None if directed else (
+            f"complement not downwards directed (pair {pair})"
+        )
+        # the case route: the base vertices, the first of them classified
+        self.bases = lattice.by_root.get(lattice.mask(comp), ())
+        if directed != bool(self.bases):
+            raise InternalCheckError(
+                f"routes disagree on H = {{{','.join(sorted(H))}}}: "
+                f"condition={directed}, base vertices={list(self.bases)}"
             )
+        self.base = classify_base_vertex(g, comp, self.bases[0]) if self.bases else None
+        self.at = {}  # u in B_H -> classify_base_vertex of u, filled per pair
+
+    def condition(self, g: Graph, missing: frozenset) -> Optional[str]:
+        """The direct condition for the S that misses ``missing`` of B_H:
+        None when it holds, else the reason it fails."""
+        if self.not_directed:
+            return self.not_directed
+        if len(missing) > 1:
+            return "S misses more than one breaking vertex"
+        for u in missing:
+            if _root_of(g, u) != self.comp:
+                return f"root({u}) is not the whole complement"
+        return None
+
+    def cases(self, g: Graph, missing: frozenset) -> GradedPrimitiveCase:
+        """The case analysis for the S that misses ``missing`` of B_H."""
+        base = self.base
+        if base is None:
+            return GradedPrimitiveCase("none", reason="no base vertex (not downwards directed)")
+        if len(missing) > 1:
+            return GradedPrimitiveCase("none", reason="S misses more than one breaking vertex")
+        case = _CASE_OF_KIND[base.kind]
+        if not missing:
+            return GradedPrimitiveCase(case, base.v, base.cycle, SForm("full"))
+        (u,) = missing
+        if case == "3b":
+            return GradedPrimitiveCase("none", reason="case b admits no broken vertex to drop")
         # u must share a cycle with a base vertex; u itself qualifies exactly
         # when its root is the whole complement, that is when u is a base
         # vertex, and then any of its cycles witnesses the requirement.
-        if form.u not in bases:
-            return GradedPrimitiveCase(
-                "none",
-                reason=f"{form.u} shares no cycle with a base vertex",
-            )
+        if u not in self.bases:
+            return GradedPrimitiveCase("none", reason=f"{u} shares no cycle with a base vertex")
         # Anchor the witness at u, so the dropped vertex and the emitted
         # base vertex sit on the emitted cycle together.
-        at_u = classify_base_vertex(g, comp, form.u)
+        at_u = self.at.get(u)
+        if at_u is None:
+            at_u = self.at[u] = classify_base_vertex(g, self.comp, u)
         if at_u.kind != base.kind:
-            raise InternalCheckError(
-                f"no cycle through {form.u!r} matches case {case}"
-            )
-        return GradedPrimitiveCase(case, form.u, at_u.cycle, form)
-    return GradedPrimitiveCase(case, base.v, base.cycle, form)
+            raise InternalCheckError(f"no cycle through {u!r} matches case {case}")
+        return GradedPrimitiveCase(case, u, at_u.cycle, SForm("minus", u))
+
+
+def _h_facts(g: Graph, H: frozenset) -> _HFacts:
+    """The facts of a proper, hereditary and saturated H, built once per
+    graph."""
+    memo = g._analysis.h_facts
+    facts = memo.get(H)
+    if facts is None:
+        facts = memo[H] = _HFacts(g, H)
+    return facts
 
 
 def classify_graded_ideal(g: Graph, pair: AdmissiblePair) -> ClassificationRecord:
@@ -223,6 +249,9 @@ def classify_graded_ideal(g: Graph, pair: AdmissiblePair) -> ClassificationRecor
 
     graded_primitive: both routes, asserted to agree; graded_prime is the
     same value on finite graphs (see ClassificationRecord.graded_prime).
+    The parts of both routes that depend on H alone run once per H (see the
+    module docstring); the test of S runs here, on every call.  A pair that
+    is not graded primitive carries the direct condition's reason.
     primitive: graded primitive and not the exclusive-cycle case with S = B_H.
     No quotient graph is built.
     """
@@ -230,14 +259,16 @@ def classify_graded_ideal(g: Graph, pair: AdmissiblePair) -> ClassificationRecor
     if not is_proper(g, pair):
         raise InputError("improper pair (H is the whole vertex set)")
 
-    by_condition, reason = evaluate_by_condition(g, pair)
-    case = evaluate_by_cases(g, pair)
-    if by_condition != case.graded_primitive:
+    facts = _h_facts(g, pair.H)
+    missing = facts.B - pair.S
+    reason = facts.condition(g, missing)
+    case = facts.cases(g, missing)
+    if (reason is None) != case.graded_primitive:
         raise InternalCheckError(
-            f"routes disagree on {pair.label()}: condition={by_condition}, "
+            f"routes disagree on {pair.label()}: condition={reason is None}, "
             f"case={case}"
         )
-    if not case.graded_primitive and reason is not None:
+    if reason is not None:
         case = GradedPrimitiveCase("none", reason=reason)
 
     primitive = case.graded_primitive and not (

@@ -146,10 +146,57 @@ def _resolve_basis(doc: GraphDocument, descriptor, system, text: str, field, t):
 
 def _emit(report: dict, as_json: bool):
     if as_json:
-        print(json.dumps(report, indent=2, default=str))
+        print(_json(report))
         return
     for line in _text_lines(report):
         print(line)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(o, pad: str = "") -> str:
+    """The text of ``json.dumps(o, indent=2, default=str)``, nested at the
+    indent pad.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder, so this
+    writes dicts, lists and tuples itself.  Strings go through the C string
+    encoder, a list of strings only is joined at once, and bools, None and
+    ints are spelled directly.  Any other value, and a dict with a key that
+    is not a string, goes to ``json.dumps``; its output has raw newlines
+    only between items, so indenting each line after the first nests it.
+    """
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if o is None:
+        return "null"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                return json.dumps(o, indent=2, default=str).replace("\n", "\n" + pad)
+            items.append(_encode_str(k) + ": " + (
+                _encode_str(v) if isinstance(v, str) else _json(v, inner)
+            ))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if all(isinstance(x, str) for x in o):
+            items = map(_encode_str, o)
+        else:
+            items = [_json(x, inner) for x in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    return json.dumps(o, default=str)
 
 
 def _text_lines(obj, prefix=""):
@@ -173,11 +220,13 @@ def _text_lines(obj, prefix=""):
     return lines
 
 
-def _classification_record(g, pair) -> dict:
+def _classification_record(g, pair, label=None) -> dict:
+    """The report record of a proper pair; label, when given, is
+    ``pair.label()``."""
     record = cls.classify_graded_ideal(g, pair)
     case = record.case
     out = {
-        "pair": pair.label(),
+        "pair": label or pair.label(),
         "graded_prime": record.graded_prime,
         "graded_primitive": record.graded_primitive,
         "primitive": record.primitive,
@@ -221,22 +270,25 @@ def cmd_pairs(args) -> int:
 
 def cmd_classify(args) -> int:
     doc = _load_document(args.file)
+    g = doc.graph
     if args.all:
-        pairs = [
-            p
-            for p in idl.enumerate_admissible_pairs(doc.graph)
-            if idl.is_proper(doc.graph, p)
-        ]
+        records = []
+        for H, B in idl.hereditary_saturated_sets(g):
+            if len(H) == len(g.vertices):
+                continue  # the improper pair
+            h_label, H = ",".join(H), frozenset(H)
+            for S in idl.sorted_subsets(B):
+                label = f"({{{h_label}}},{{{','.join(S)}}})"
+                pair = idl.AdmissiblePair(H, frozenset(S))
+                records.append(_classification_record(g, pair, label))
     elif args.pair:
-        pairs = [_resolve_pair(doc, args.pair)]
-        if not idl.is_proper(doc.graph, pairs[0]):
+        pair = _resolve_pair(doc, args.pair)
+        if not idl.is_proper(g, pair):
             raise InputError("improper pair selected (H is the whole vertex set)")
+        records = [_classification_record(g, pair)]
     else:
         raise InputError("classify needs --pair SELECTOR or --all")
-    report = {
-        "graph": args.file,
-        "records": [_classification_record(doc.graph, p) for p in pairs],
-    }
+    report = {"graph": args.file, "records": records}
     _emit(report, args.json)
     return 0
 

@@ -10,7 +10,6 @@ reaches V and the tree T(V) everything V reaches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
@@ -48,6 +47,8 @@ class _Analysis:
         "breaking",
         "quotients",
         "lattice",
+        "cycle_classes",
+        "h_facts",
     )
 
     def __init__(self):
@@ -63,6 +64,8 @@ class _Analysis:
         self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
         self.lattice = None  # the vertex sets as bitmasks, see _lattice
+        self.cycle_classes = {}  # (cycle, V) -> _classify_cycle's answer
+        self.h_facts = {}  # proper H -> classify._HFacts, filled by classify
 
 
 class Graph:
@@ -402,8 +405,22 @@ def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
 
 def check_cycle(g: Graph, c: Cycle) -> Cycle:
     """Validate a Cycle value as a cycle of g, its vertex tuple included;
-    returns c as given (not rotated)."""
-    if make_cycle(g, c.base, c.steps).rotate_to(c.base) != c:
+    returns c as given (not rotated).  The steps are walked in place, with
+    the checks and messages of ``make_cycle``."""
+    g.check_vertices([c.base])
+    walked = [c.base]
+    for ref in c.steps:
+        e = _edge_path(g, ref)
+        if e.start != walked[-1]:
+            raise InputError(
+                f"step {ref_str(ref)!r} starts at {e.start!r}, expected {walked[-1]!r}"
+            )
+        walked.append(e.end)
+    if len(walked) == 1 or walked[-1] != c.base:
+        raise InputError("a cycle must be a nonempty closed path")
+    if len(set(walked)) != len(c.steps):
+        raise InputError("cycle edges must have pairwise distinct sources")
+    if tuple(walked) != c.path.vertices:
         raise InputError("cycle vertices do not match its edges")
     return c
 
@@ -561,17 +578,22 @@ class _Lattice:
     it comes before w.
     """
 
-    __slots__ = ("order", "by_name", "trees", "saturating", "emitters")
+    __slots__ = ("order", "bit", "by_name", "trees", "by_root", "saturating", "emitters")
 
     def __init__(self, g: Graph):
         self.order = tuple(sorted(g.vertex_list, key=lambda v: (-len(_tree_of(g, v)), v)))
-        bit = {v: 1 << i for i, v in enumerate(self.order)}
+        bit = self.bit = {v: 1 << i for i, v in enumerate(self.order)}
+        mask = self.mask
 
-        def mask(vertices):
-            return sum(bit[v] for v in set(vertices))
-
-        self.by_name = tuple((v, bit[v]) for v in g.vertex_list)  # (v, bit), sorted
-        self.trees = tuple(mask(_tree_of(g, v)) for v in self.order)  # T(v) by position
+        tree = {v: mask(_tree_of(g, v)) for v in self.order}
+        self.trees = tuple(tree.values())  # T(v) by position
+        self.by_name = tuple((v, bit[v], tree[v]) for v in g.vertex_list)  # (v, bit, T(v)), sorted
+        # R(v) -> the vertices v with that root, sorted; R(v) holds the
+        # vertices whose tree holds v
+        self.by_root = {}
+        for v, b, _ in self.by_name:
+            r = sum(1 << i for i, t in enumerate(self.trees) if t & b)
+            self.by_root[r] = self.by_root.get(r, ()) + (v,)
         # (bit, targets) of each regular vertex on no cycle, last position
         # first.  A vertex on a cycle is in every hereditary set holding its
         # targets, and the targets of one on no cycle come after it.
@@ -586,12 +608,27 @@ class _Lattice:
             (
                 v,
                 bit[v],
-                mask(g.bundles[b][1] for b in g._out_bundles[v]),
-                mask(g.edges[e][1] for e in g._out_edges[v]),
+                mask({g.bundles[b][1] for b in g._out_bundles[v]}),
+                mask({g.edges[e][1] for e in g._out_edges[v]}),
             )
             for v in g.vertex_list
             if g._out_bundles[v]
         )
+
+    def mask(self, vertices) -> int:
+        """The bitmask of a set of vertex names."""
+        return sum(map(self.bit.__getitem__, vertices))
+
+    def downwards_directed(self, V: int):
+        """(True, None) when every two members u, w of the set V reach a
+        common member, that is T(u) & T(w) & V is not empty; else (False,
+        (u, w)) for the first pair in name order that does not."""
+        members = [(v, tree & V) for v, b, tree in self.by_name if V & b]
+        for i, (u, tu) in enumerate(members):
+            for w, tw in members[i + 1:]:
+                if not tu & tw:
+                    return False, (u, w)
+        return True, None
 
     def closure(self, V: int) -> int:
         """The least hereditary saturated superset of the set V.
@@ -623,22 +660,18 @@ def _lattice(g: Graph) -> _Lattice:
 def hereditary_saturated_closure(g: Graph, V: Iterable[str]) -> frozenset:
     """Least hereditary and saturated superset of V (fixed point of both rules)."""
     lattice = _lattice(g)
-    bit = dict(lattice.by_name)
-    H = lattice.closure(sum(bit[v] for v in g.check_vertices(V)))
-    return frozenset(v for v, b in lattice.by_name if H & b)
+    H = lattice.closure(lattice.mask(g.check_vertices(V)))
+    return frozenset(v for v, b, _ in lattice.by_name if H & b)
 
 
 def is_downwards_directed(g: Graph, V: Iterable[str]):
     """Every two members of V must reach a common member of V.
 
-    Returns (True, None) or (False, (u, v)) for an unboundable pair.
+    Returns (True, None) or (False, (u, v)) for the first unboundable pair
+    in name order.  Runs on the bitmasks of ``_lattice``.
     """
-    V = g.check_vertices(V)
-    reach = {v: _root_of(g, v) for v in V}  # reach[w] = who reaches w
-    for u, v in itertools.combinations(sorted(V), 2):
-        if not any(u in reach[w] and v in reach[w] for w in V):
-            return False, (u, v)
-    return True, None
+    lattice = _lattice(g)
+    return lattice.downwards_directed(lattice.mask(g.check_vertices(V)))
 
 
 def has_icsp(g: Graph, V: Iterable[str]):
@@ -866,7 +899,17 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
 
 
 def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
-    """classify_cycle, trusting that c is a cycle of g inside V, a set of g."""
+    """classify_cycle, trusting that c is a cycle of g inside V, a set of g.
+    Remembered per graph."""
+    memo = g._analysis.cycle_classes
+    key = (c, V)
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _classify_cycle_afresh(g, c, V)
+    return found
+
+
+def _classify_cycle_afresh(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
     on_cycle = c.vertex_set
     if any(is_bundle_ref(s) for s in c.steps):
         exclusive = False

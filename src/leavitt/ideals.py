@@ -108,7 +108,7 @@ def hereditary_saturated_sets(g: Graph):
                 break
     found = []
     for H in closed:
-        names = tuple(v for v, bit in lattice.by_name if H & bit)
+        names = tuple(v for v, bit, _ in lattice.by_name if H & bit)
         B = tuple(
             v
             for v, bit, bundle_targets, edge_targets in lattice.emitters

@@ -12,7 +12,6 @@ from leavitt import classify as cls
 from leavitt import ideals as idl
 from leavitt.branching import Truncation, check_axioms
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G6, random_graph
-from leavitt.classify import evaluate_by_cases, evaluate_by_condition
 from leavitt.graphs import (
     breaking_vertices,
     enumerate_cycles,
@@ -29,6 +28,7 @@ from leavitt.verification import (
     random_element,
     recovery_sweep,
 )
+from perpair import evaluate_by_cases, evaluate_by_condition
 
 WINDOW = Truncation(6, 3)
 

@@ -22,8 +22,9 @@ from leavitt.graphs import (
     is_downwards_directed,
     root,
 )
-from leavitt.graphio import parse_graph_document
-from smallgraphs import three_vertex_graphs
+from leavitt.graphio import emit_graph, parse_graph_document
+import perpair
+from smallgraphs import fan, three_vertex_graphs, two_bundle_graphs
 
 
 def pair(g, H, S=()):
@@ -65,11 +66,11 @@ def all_cycles_classify_base_vertex(g, comp, v):
 
 def all_cycles_evaluate_by_cases(g, pair):
     comp = g.vertices - pair.H
-    bases = cls._base_vertices(g, comp)
+    bases = perpair.base_vertices(g, comp)
     if not bases:
         return cls.GradedPrimitiveCase("none", reason="no base vertex (not downwards directed)")
     base = all_cycles_classify_base_vertex(g, comp, bases[0])
-    form = cls._s_form(g, pair)
+    form = perpair.s_form(g, pair)
     if form is None:
         return cls.GradedPrimitiveCase("none", reason="S misses more than one breaking vertex")
     case = {"no_edges_out": "3b", "extreme_cycle": "3c", "exclusive_cycle": "3d"}[
@@ -133,7 +134,7 @@ class TestFindBaseVertex:
                 if base is not None:
                     assert root(g, [base.v]) == g.vertices - p.H
                 # evaluate_by_cases lists the base vertices itself
-                case = cls.evaluate_by_cases(g, p)
+                case = perpair.evaluate_by_cases(g, p)
                 if base is None:
                     assert case.case == "none"
                 elif p.S == breaking_vertices(g, p.H):
@@ -172,11 +173,11 @@ class TestFirstCycleDecides:
                 comp = g.vertices - p.H
                 if comp not in complements:
                     complements.add(comp)
-                    for v in cls._base_vertices(g, comp):
+                    for v in perpair.base_vertices(g, comp):
                         base = cls.classify_base_vertex(g, comp, v)
                         assert base == all_cycles_classify_base_vertex(g, comp, v)
                         seen[base.kind] += 1
-                case = cls.evaluate_by_cases(g, p)
+                case = perpair.evaluate_by_cases(g, p)
                 assert case == all_cycles_evaluate_by_cases(g, p)
                 seen[case.case, case.s_form and case.s_form.kind] += 1
                 if case.reason and "shares no cycle" in case.reason:
@@ -186,6 +187,73 @@ class TestFirstCycleDecides:
             ("3c", "minus"), ("3d", "minus"), "u is no base vertex",
         ):
             assert seen[key] > 0, key
+
+
+def _random_dense(rng, n, m, nbundles):
+    """n vertices with m edges and nbundles bundles at seeded ends."""
+    vs = [f"v{i}" for i in range(n)]
+    edges = {f"e{i:02d}": (rng.choice(vs), rng.choice(vs)) for i in range(m)}
+    bundles = {f"b{i}": (rng.choice(vs), rng.choice(vs)) for i in range(nbundles)}
+    return Graph(vs, edges, bundles)
+
+
+class TestPerHFacts:
+    def test_matches_per_pair_route(self):
+        # The route that reads the facts of each H once against the per-pair
+        # route, run on a copy of the graph so that it reads nothing the
+        # first remembered: equal records, reasons and witness cycles
+        # included.
+        rng = random.Random(22)
+        sweep = itertools.chain(
+            CATALOG.values(),
+            (fan(k) for k in range(1, 8)),
+            two_bundle_graphs(random.Random(8), 40),
+            (random_graph(rng, 7, 12, 3) for _ in range(60)),
+            itertools.islice(three_vertex_graphs(), 0, None, 5),
+        )
+        seen = Counter()
+        for g in sweep:
+            copy = Graph(g.vertices, g.edges, g.bundles)
+            for p in idl.enumerate_admissible_pairs(g):
+                if not idl.is_proper(g, p):
+                    continue
+                record = cls.classify_graded_ideal(g, p)
+                assert record == perpair.classify_graded_ideal(copy, p), (
+                    g.edges, g.bundles, p.label()
+                )
+                case = record.case
+                if case.reason:
+                    seen[case.reason.partition("(")[0].strip()] += 1
+                else:
+                    seen[case.case, case.s_form.kind] += 1
+        assert sorted(seen, key=str) == sorted([
+            ("3b", "full"), ("3c", "full"), ("3c", "minus"), ("3d", "full"),
+            ("3d", "minus"), "S misses more than one breaking vertex",
+            "complement not downwards directed", "root",
+        ], key=str), seen
+
+    @pytest.mark.parametrize("name", ["fan5", "rd60"])
+    def test_classify_all_builds_facts_once_per_h(self, capsys, monkeypatch, tmp_path, name):
+        # The facts of each proper H, downward-directedness included, are
+        # built once, whatever the number of pairs on it.
+        g = fan(5) if name == "fan5" else _random_dense(random.Random(3), 60, 80, 4)
+        path = tmp_path / f"{name}.graph"
+        path.write_text(emit_graph(g))
+        built, directed = [], []
+        facts, downwards_directed = cls._HFacts, cls.is_downwards_directed
+        monkeypatch.setattr(cls, "_HFacts", lambda g, H: built.append(H) or facts(g, H))
+        monkeypatch.setattr(
+            cls, "is_downwards_directed", lambda g, V: directed.append(V) or downwards_directed(g, V)
+        )
+        assert cli.main(["--json", "classify", str(path), "--all"]) == 0
+        out = capsys.readouterr().out
+        labels = [r["pair"] for r in json.loads(out)["records"]]
+        proper = list(dict.fromkeys(
+            frozenset(label[2:label.index("},{")].split(",")) - {""} for label in labels
+        ))
+        assert built == proper
+        assert directed == [g.vertices - H for H in proper]
+        assert len(labels) > len(proper) > 1
 
 
 class TestClassifyGradedIdeal:

@@ -25,6 +25,7 @@ from leavitt import algebra as alg
 from leavitt import ideals as idl
 from leavitt import verification
 from exprparse import parse_element_oracle, tokenize_oracle
+import perpair
 from smallgraphs import fan, three_vertex_graphs, two_bundle_graphs
 
 G3_TEXT = """
@@ -297,6 +298,42 @@ INJECTED = {
 }
 
 
+@pytest.fixture(autouse=True)
+def json_writer_oracle(monkeypatch):
+    """Every report a test here emits, as text or as JSON, is also written
+    by ``cli._json`` and compared with ``json.dumps``, its oracle."""
+    emit = cli._emit
+
+    def checked(report, as_json):
+        assert cli._json(report) == json.dumps(report, indent=2, default=str)
+        emit(report, as_json)
+
+    monkeypatch.setattr(cli, "_emit", checked)
+
+
+_JSON_STRING = st.text('"\\{}[],: \n\t\x00\x7f/abé€\u2028😀', max_size=8)
+_JSON_SCALAR = (
+    _JSON_STRING | st.booleans() | st.none() | st.integers() | st.floats()
+    | st.frozensets(st.integers(0, 9), max_size=3)  # written through default=str
+)
+_JSON_NESTED = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(_JSON_STRING, max_size=4)
+    | st.dictionaries(_JSON_STRING, inner, max_size=4)
+    | st.dictionaries(_JSON_STRING | st.integers() | st.booleans() | st.none() | st.floats(),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_JSON_NESTED)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, default=str)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -522,13 +559,14 @@ def _pair_record(g, pair) -> dict:
 
 def _per_pair_report(command, path, g):
     """The report of ``pairs`` or ``classify --all`` built one pair at a time
-    from ``enumerate_admissible_pairs``: the route ``cmd_pairs`` took before
-    it built its records once per H."""
+    from ``enumerate_admissible_pairs``: the routes ``cmd_pairs`` and
+    ``cmd_classify`` took before they built their records once per H, with
+    each pair classified by the per-pair route of ``perpair``."""
     pairs = idl.enumerate_admissible_pairs(g)
     if command == "pairs":
         records = [dict(label=p.label(), **_pair_record(g, p)) for p in pairs]
         return {"graph": path, "count": len(pairs), "pairs": records}
-    records = [cli._classification_record(g, p) for p in pairs if idl.is_proper(g, p)]
+    records = [perpair.classification_record(g, p) for p in pairs if idl.is_proper(g, p)]
     return {"graph": path, "records": records}
 
 
