@@ -220,13 +220,12 @@ def _text_lines(obj, prefix=""):
     return lines
 
 
-def _classification_record(g, pair, label=None) -> dict:
-    """The report record of a proper pair; label, when given, is
-    ``pair.label()``."""
+def _classification_record(g, pair, label) -> dict:
+    """The report record of a proper pair, whose label is ``pair.label()``."""
     record = cls.classify_graded_ideal(g, pair)
     case = record.case
     out = {
-        "pair": label or pair.label(),
+        "pair": label,
         "graded_prime": record.graded_prime,
         "graded_primitive": record.graded_primitive,
         "primitive": record.primitive,
@@ -253,10 +252,10 @@ def cmd_pairs(args) -> int:
     n = len(doc.graph.vertices)
     records = []
     for H, B in idl.hereditary_saturated_sets(doc.graph):
-        h_label, H, B = ",".join(H), list(H), list(B)
+        H, B = list(H), list(B)
         for S in idl.sorted_subsets(B):
             records.append({
-                "label": f"({{{h_label}}},{{{','.join(S)}}})",
+                "label": idl.pair_label(H, S),
                 "H": H,
                 "S": list(S),
                 "B_H": B,
@@ -276,16 +275,15 @@ def cmd_classify(args) -> int:
         for H, B in idl.hereditary_saturated_sets(g):
             if len(H) == len(g.vertices):
                 continue  # the improper pair
-            h_label, H = ",".join(H), frozenset(H)
+            h_set = frozenset(H)
             for S in idl.sorted_subsets(B):
-                label = f"({{{h_label}}},{{{','.join(S)}}})"
-                pair = idl.AdmissiblePair(H, frozenset(S))
-                records.append(_classification_record(g, pair, label))
+                pair = idl.AdmissiblePair(h_set, frozenset(S))
+                records.append(_classification_record(g, pair, idl.pair_label(H, S)))
     elif args.pair:
         pair = _resolve_pair(doc, args.pair)
         if not idl.is_proper(g, pair):
             raise InputError("improper pair selected (H is the whole vertex set)")
-        records = [_classification_record(g, pair)]
+        records = [_classification_record(g, pair, pair.label())]
     else:
         raise InputError("classify needs --pair SELECTOR or --all")
     report = {"graph": args.file, "records": records}

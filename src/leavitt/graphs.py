@@ -393,34 +393,26 @@ def _steps_key(steps: tuple) -> tuple:
     return (len(steps), tuple(ref_str(s) for s in steps))
 
 
-def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
+def _closed_path(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Path:
+    """make_path, required to be a nonempty closed path whose steps have
+    pairwise distinct sources."""
     p = make_path(g, start, steps)
     if p.is_vertex or p.start != p.end:
         raise InputError("a cycle must be a nonempty closed path")
     sources = p.vertices[:-1]
     if len(set(sources)) != len(sources):
         raise InputError("cycle edges must have pairwise distinct sources")
-    return Cycle(p).canonical()
+    return p
+
+
+def make_cycle(g: Graph, start: str, steps: Iterable[EdgeRef]) -> Cycle:
+    return Cycle(_closed_path(g, start, steps)).canonical()
 
 
 def check_cycle(g: Graph, c: Cycle) -> Cycle:
     """Validate a Cycle value as a cycle of g, its vertex tuple included;
-    returns c as given (not rotated).  The steps are walked in place, with
-    the checks and messages of ``make_cycle``."""
-    g.check_vertices([c.base])
-    walked = [c.base]
-    for ref in c.steps:
-        e = _edge_path(g, ref)
-        if e.start != walked[-1]:
-            raise InputError(
-                f"step {ref_str(ref)!r} starts at {e.start!r}, expected {walked[-1]!r}"
-            )
-        walked.append(e.end)
-    if len(walked) == 1 or walked[-1] != c.base:
-        raise InputError("a cycle must be a nonempty closed path")
-    if len(set(walked)) != len(c.steps):
-        raise InputError("cycle edges must have pairwise distinct sources")
-    if tuple(walked) != c.path.vertices:
+    returns c as given (not rotated)."""
+    if _closed_path(g, c.base, c.steps).vertices != c.path.vertices:
         raise InputError("cycle vertices do not match its edges")
     return c
 
@@ -900,16 +892,11 @@ def classify_cycle(g: Graph, c: Cycle, V: Iterable[str]) -> CycleClassification:
 
 def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
     """classify_cycle, trusting that c is a cycle of g inside V, a set of g.
-    Remembered per graph."""
+    Remembered per graph and (c, V)."""
     memo = g._analysis.cycle_classes
-    key = (c, V)
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _classify_cycle_afresh(g, c, V)
-    return found
-
-
-def _classify_cycle_afresh(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
+    found = memo.get((c, V))
+    if found is not None:
+        return found
     on_cycle = c.vertex_set
     if any(is_bundle_ref(s) for s in c.steps):
         exclusive = False
@@ -943,7 +930,8 @@ def _classify_cycle_afresh(g: Graph, c: Cycle, V: frozenset) -> CycleClassificat
         kind = "no_exit_in_V"
     else:
         kind = "neither"
-    return CycleClassification(kind, exclusive, extreme, no_exit_in_V, escape)
+    found = memo[c, V] = CycleClassification(kind, exclusive, extreme, no_exit_in_V, escape)
+    return found
 
 
 def exitless_cycle_vertices(g: Graph) -> dict:

@@ -39,9 +39,13 @@ class AdmissiblePair:
         return (sorted(self.H), sorted(self.S))
 
     def label(self):
-        h = ",".join(sorted(self.H))
-        s = ",".join(sorted(self.S))
-        return f"({{{h}}},{{{s}}})"
+        return pair_label(sorted(self.H), sorted(self.S))
+
+
+def pair_label(h_names, s_names) -> str:
+    """The label of the pair (H, S) from the names of H and of S, each in
+    name order: "({h,..},{s,..})"."""
+    return f"({{{','.join(h_names)}}},{{{','.join(s_names)}}})"
 
 
 def admissible_pair(g: Graph, H, S=()) -> AdmissiblePair:

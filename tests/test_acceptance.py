@@ -76,6 +76,9 @@ def test_criterion_2_oracle_equivalence():
                 pair.label(),
             )
             record = cls.classify_graded_ideal(g, pair)  # re-asserts agreement
+            assert record.graded_primitive == by_condition
+            if by_case.graded_primitive:
+                assert record.case == by_case
             qg = idl.quotient_graph(g, pair)
             assert record.graded_prime == is_downwards_directed(
                 qg.graph, qg.graph.vertices

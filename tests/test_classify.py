@@ -135,6 +135,10 @@ class TestFindBaseVertex:
                     assert root(g, [base.v]) == g.vertices - p.H
                 # evaluate_by_cases lists the base vertices itself
                 case = perpair.evaluate_by_cases(g, p)
+                record = cls.classify_graded_ideal(g, p)
+                assert record.graded_primitive == case.graded_primitive
+                if case.graded_primitive:
+                    assert record.case == case
                 if base is None:
                     assert case.case == "none"
                 elif p.S == breaking_vertices(g, p.H):
@@ -179,6 +183,11 @@ class TestFirstCycleDecides:
                         seen[base.kind] += 1
                 case = perpair.evaluate_by_cases(g, p)
                 assert case == all_cycles_evaluate_by_cases(g, p)
+                # the production route reads the same case off its per-H facts
+                record = cls.classify_graded_ideal(g, p)
+                assert record.graded_primitive == case.graded_primitive
+                if case.graded_primitive:
+                    assert record.case == case
                 seen[case.case, case.s_form and case.s_form.kind] += 1
                 if case.reason and "shares no cycle" in case.reason:
                     seen["u is no base vertex"] += 1
