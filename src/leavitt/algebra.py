@@ -309,17 +309,27 @@ def star(a: AlgebraElement) -> AlgebraElement:
 def _mul_monomials(m1: Monomial, m2: Monomial) -> Optional[Monomial]:
     """(p1 q1*)(p2 q2*) resolved by ghost/real cancellation; None when zero."""
     q1, p2 = m1.q, m2.p
-    if q1.start != p2.start:
+    if q1.vertices[0] != p2.vertices[0]:
         return None
-    n1, n2 = len(q1), len(p2)
-    k = min(n1, n2)
-    if q1.steps[:k] != p2.steps[:k]:
-        return None
-    if n1 <= n2:
+    s1, s2 = q1.steps, p2.steps
+    n1, n2 = len(s1), len(s2)
+    # The leftover path is spliced on without ``Path.concat``: its end check
+    # cannot fire, because every monomial has r(p) = r(q), so r(p1) = r(q1)
+    # is where the leftover of p2 starts (and r(q2) = r(p2) where that of q1
+    # starts).
+    if n1 == n2:
+        return Monomial(m1.p, m2.q) if s1 == s2 else None
+    if n1 < n2:
         # q1 is an initial segment of p2: the leftover path extends p1.
-        return Monomial(m1.p.concat(p2.drop_first(n1)), m2.q)
+        if s2[:n1] != s1:
+            return None
+        p1 = m1.p
+        return Monomial(Path(p1.vertices + p2.vertices[n1 + 1:], p1.steps + s2[n1:]), m2.q)
     # p2 is an initial segment of q1: the leftover ghost extends q2.
-    return Monomial(m1.p, m2.q.concat(q1.drop_first(n2)))
+    if s1[:n2] != s2:
+        return None
+    q2 = m2.q
+    return Monomial(m1.p, Path(q2.vertices + q1.vertices[n2 + 1:], q2.steps + s1[n2:]))
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

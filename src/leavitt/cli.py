@@ -148,8 +148,9 @@ def _emit(report: dict, as_json: bool):
     if as_json:
         print(_json(report))
         return
-    for line in _text_lines(report):
-        print(line)
+    lines = _text_lines(report)
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -297,16 +297,40 @@ def _unit_monomial(g: Graph, name: str) -> alg.Monomial:
     return m
 
 
+_STAR = ("op", "*")
+
+
+def _times(left: dict, right: dict, one) -> dict:
+    """The product of two term maps, monomial by monomial, not normalized.
+    A coefficient that is the parser's shared ``one`` is passed through."""
+    mul = alg._mul_monomials
+    out: dict = {}
+    for m1, k1 in left.items():
+        for m2, k2 in right.items():
+            m = mul(m1, m2)
+            if m is not None:
+                k = k1 if k2 is one else k2 if k1 is one else k1 * k2
+                s = out.get(m)
+                out[m] = k if s is None else s + k
+    return out
+
+
 class _ExprParser:
     """Recursive descent over the token list.  Each production returns a term
     map {Monomial: coefficient}: a term multiplies its factors monomial by
     monomial and is normalized once; an expression sums normalized terms.
     The normal form is unique, so this gives the element that multiplying
-    normalized elements step by step would."""
+    normalized elements step by step would.
+
+    A run of name factors folds into one bare monomial, with no map and no
+    coefficient; only a parenthesized group is multiplied in map by map.
+    The field's one and zero are read once per parse."""
 
     def __init__(self, g: Graph, field, tokens):
         self.g = g
         self.field = field
+        self.one = field.one
+        self.zero = field.zero
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -327,19 +351,26 @@ class _ExprParser:
 
     def expr(self) -> dict:
         total: dict = {}
-        zero = self.field.zero
+        zero = self.zero
         kind, val = self.peek()
         sign = "+"
         if kind == "op" and val in "+-":
             self.take()
             sign = val
         while True:
+            # A term's coefficients are nonzero: it is normalized.
             for m, k in self.term().items():
-                s = total.get(m, zero) + (-k if sign == "-" else k)
-                if s == zero:
-                    del total[m]
+                if sign == "-":
+                    k = -k
+                s = total.get(m)
+                if s is None:
+                    total[m] = k
                 else:
-                    total[m] = s
+                    s += k
+                    if s == zero:
+                        del total[m]
+                    else:
+                        total[m] = s
             kind, val = self.peek()
             if kind != "op" or val not in "+-":
                 return total
@@ -347,12 +378,13 @@ class _ExprParser:
             sign = val
 
     def term(self) -> dict:
-        field = self.field
-        coeff = field.one
+        g, one = self.g, self.one
+        coeff = one
         kind, val = self.peek()
         have_scalar = False
         if kind == "num":
             self.take()
+            field = self.field
             if "/" in val:
                 n, d = val.split("/")
                 den = field.coerce(int(d))
@@ -362,58 +394,72 @@ class _ExprParser:
             else:
                 coeff = field.coerce(int(val))
             have_scalar = True
-        factors = []
+        # Ghost/real cancellation holds for any monomials, so the product
+        # needs no rewrite until the end; equal monomials merge on the way.
+        atoms = g._analysis.atoms
+        mul = alg._mul_monomials
+        raw = None  # the factors before the current run, as a term map
+        run = None  # the current run of name factors, as one monomial
         while True:
-            kind, val = self.peek()
-            if kind == "name" or (kind == "op" and val == "("):
-                factors.append(self.factor())
+            kind, val = self.tokens[self.pos]
+            if kind == "name":
+                self.pos += 1
+                m = atoms.get(val) or _unit_monomial(g, val)
+                if self.starred():
+                    m = m.star()
+                if run is None:
+                    run = m
+                else:
+                    run = mul(run, m)
+                    if run is None:
+                        raw = {}  # a zero product; the rest is still read
+            elif kind == "op" and val == "(":
+                group = self.group()
+                if run is not None:
+                    raw = {run: one} if raw is None else _times(raw, {run: one}, one)
+                    run = None
+                raw = group if raw is None else _times(raw, group, one)
             else:
                 break
-        if not factors:
+        if raw is None:
+            if run is not None:
+                return alg._normalize(g, {run: coeff})
             if not have_scalar:
                 raise InputError("expected a term")
             # A bare scalar means that multiple of the identity: the sum of
             # all vertices (the graph is finite).
             if coeff == 0:
                 return {}
-            return {_unit_monomial(self.g, v): coeff for v in self.g.vertex_list}
-        # Ghost/real cancellation holds for any monomials, so the product
-        # needs no rewrite until the end; equal monomials merge on the way.
-        raw = factors[0]
-        mul = alg._mul_monomials
-        for f in factors[1:]:
-            out: dict = {}
-            for m1, k1 in raw.items():
-                for m2, k2 in f.items():
-                    m = mul(m1, m2)
-                    if m is not None:
-                        s = out.get(m)
-                        out[m] = k1 * k2 if s is None else s + k1 * k2
-            raw = out
+            return {_unit_monomial(g, v): coeff for v in g.vertex_list}
+        if run is not None:
+            raw = _times(raw, {run: one}, one)
         if coeff != 1:
             raw = {m: k * coeff for m, k in raw.items()}
-        return alg._normalize(self.g, raw)
+        return alg._normalize(g, raw)
 
-    def factor(self) -> dict:
+    def group(self) -> dict:
+        self.pos += 1  # the "("
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise InputError(f"expression nests deeper than {_MAX_DEPTH} parentheses")
+        out = self.expr()
         kind, val = self.take()
-        if kind == "op" and val == "(":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise InputError(f"expression nests deeper than {_MAX_DEPTH} parentheses")
-            out = self.expr()
-            kind, val = self.take()
-            if kind != "op" or val != ")":
-                raise InputError("unbalanced parenthesis in expression")
-            self.depth -= 1
-        elif kind == "name":
-            out = {_unit_monomial(self.g, val): self.field.one}
-        else:
-            raise InputError(f"unexpected token {val!r} in expression")
+        if kind != "op" or val != ")":
+            raise InputError("unbalanced parenthesis in expression")
+        self.depth -= 1
         # The star of a normal form is one (see algebra.star).
-        while self.peek() == ("op", "*"):
-            self.take()
+        if self.starred():
             out = {m.star(): k for m, k in out.items()}
         return out
+
+    def starred(self) -> bool:
+        """Take the stars after a factor: True when their number is odd,
+        since the star is an involution."""
+        odd = False
+        while self.tokens[self.pos] == _STAR:
+            self.pos += 1
+            odd = not odd
+        return odd
 
 
 def parse_element(g: Graph, text: str, field=QQ) -> alg.AlgebraElement:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
 from leavitt.errors import InputError
 from leavitt.fields import QQ, ModInt, PrimeField, field_from_spec
 from leavitt.graphs import Path, _edge_path, enumerate_paths, make_path, vertex_path
+from smallgraphs import three_vertex_graphs
 from valueobjects import check_value_object
 
 
@@ -189,6 +191,53 @@ class TestMultiply:
             g = rng.choice(list(CATALOG.values()))
             a, b = (random_element(g, rng) for _ in range(2))
             assert alg.star(a * b) == alg.star(b) * alg.star(a)
+
+
+def _mul_monomials_oracle(m1, m2):
+    """The route ``alg._mul_monomials`` took before it spliced the paths:
+    compare the common prefix, then ``drop_first`` the leftover and
+    ``Path.concat`` it on, end check included."""
+    q1, p2 = m1.q, m2.p
+    if q1.start != p2.start:
+        return None
+    n1, n2 = len(q1), len(p2)
+    k = min(n1, n2)
+    if q1.steps[:k] != p2.steps[:k]:
+        return None
+    if n1 <= n2:
+        return alg.Monomial(m1.p.concat(p2.drop_first(n1)), m2.q)
+    return alg.Monomial(m1.p, m2.q.concat(q1.drop_first(n2)))
+
+
+class TestMulMonomials:
+    def test_agrees_with_drop_first_and_concat(self):
+        """Every pair of monomials p q* with |p|, |q| <= 2: on the catalog,
+        with two indices per bundle, and on every 97th three-vertex graph,
+        with one."""
+        graphs = [(g, 2) for g in CATALOG.values()]
+        graphs += [(g, 1) for g in itertools.islice(three_vertex_graphs(), 0, None, 97)]
+        outcomes = dict.fromkeys(["zero", "n1 = n2", "n1 < n2", "n1 > n2"], 0)
+        for g, bundle_sample in graphs:
+            paths = list(enumerate_paths(g, 2, bundle_sample))
+            monomials = [alg.Monomial(p, q) for p in paths for q in paths if p.end == q.end]
+            for m1 in monomials:
+                new = [alg._mul_monomials(m1, m2) for m2 in monomials]
+                assert new == [_mul_monomials_oracle(m1, m2) for m2 in monomials], m1
+                n1 = len(m1.q)
+                for m2, m in zip(monomials, new):
+                    if m is None:
+                        outcomes["zero"] += 1
+                    else:
+                        n2 = len(m2.p)
+                        outcomes["n1 = n2" if n1 == n2 else "n1 < n2" if n1 < n2 else "n1 > n2"] += 1
+        assert min(outcomes.values()) > 1000, outcomes
+
+    def test_equal_lengths_keep_the_outer_paths(self):
+        # (p q*)(q s*) = p s*, with p and s themselves, not copies
+        p, q = make_path(G3, "u", ["e", "c"]), make_path(G3, "v", ["c"])
+        s = vertex_path("v")
+        m = alg._mul_monomials(alg.Monomial(p, q), alg.Monomial(q, s))
+        assert m == alg.Monomial(p, s) and m.p is p and m.q is s
 
 
 class TestNormalForm:

@@ -11,7 +11,7 @@ from leavitt import cli
 from leavitt.branching import AxiomReport, Truncation
 from leavitt.catalog import CATALOG, G2, G3, G4, random_graph
 from leavitt.errors import InputError
-from leavitt.fields import QQ, PrimeField
+from leavitt.fields import QQ, ModInt, PrimeField
 from leavitt.graphs import breaking_vertices, enumerate_paths, ref_str
 from leavitt.graphio import (
     _tokenize,
@@ -168,6 +168,42 @@ class TestExpressionParser:
             assert a == parse_element_oracle(G3, text)
         assert str(parsed["2 e c (c c)* - (u - e e*)*"]) == "-u + 2 e c* + e e*"
 
+    def test_name_factors_fold_without_coefficient_products(self, monkeypatch):
+        field = _CountingGF7()
+        products = []
+        mul = ModInt.__mul__
+
+        def counted(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(ModInt, "__mul__", counted)
+        monkeypatch.setattr(ModInt, "__rmul__", counted)
+        # name runs and groups with unit coefficients pass coefficients
+        # through; the scalar 2 scales once; 2 * 3 is a product of groups
+        cases = {"e c (c c)*": 0, "u e c c* (c)* c": 0, "2 (u - e e*) e": 1, "(2 u) (3 u)": 1}
+        for parses, (text, count) in enumerate(cases.items(), start=1):
+            products.clear()
+            a = parse_element(G3, text, field)
+            assert len(products) == count, (text, products)
+            assert field.one_reads == parses, text
+            assert a.terms == parse_element_oracle(G3, text, PrimeField(7)).terms, text
+
+    def test_unit_scalars_that_are_not_the_shared_one(self):
+        gf7 = PrimeField(7)
+        cases = [(QQ, "1 e"), (QQ, "1/1 e c*"), (QQ, "2/2 (u + e)"), (gf7, "8 e"),
+                 (gf7, "15/8 e"), (gf7, "8/7 e"), (QQ, "1 b")]
+        errors = 0
+        for field, text in cases:
+            new = _outcome(parse_element, G3, text, field)
+            assert new == _outcome(parse_element_oracle, G3, text, field), (field.name, text)
+            if new[0] == "error":
+                errors += 1
+            else:
+                for k in new[0].terms.values():
+                    assert k == field.one and type(k) is type(field.one), (text, k)
+        assert errors == 2
+
     def test_parse_monomial(self):
         m = parse_monomial(G3, "e c")
         assert str(m.p) == "ec" and m.q.is_vertex
@@ -175,6 +211,28 @@ class TestExpressionParser:
             parse_monomial(G3, "e + c")
         with pytest.raises(InputError):
             parse_monomial(G3, "2 e")
+
+
+class _CountingGF7:
+    """GF(7) that counts the reads of its ``one``."""
+
+    name = "GF(7)"
+
+    def __init__(self):
+        self.field = PrimeField(7)
+        self.one_reads = 0
+
+    @property
+    def one(self):
+        self.one_reads += 1
+        return self.field.one
+
+    @property
+    def zero(self):
+        return self.field.zero
+
+    def coerce(self, x):
+        return self.field.coerce(x)
 
 
 def _random_expression(rng, g, depth=0):
@@ -586,6 +644,28 @@ class TestPairRecords:
                     doc = parse_graph_document(path.read_text())
                     cli._emit(_per_pair_report(command, str(path), doc.graph), bool(flags))
                     assert capsys.readouterr().out == out, (command, flags, g.edges, g.bundles)
+
+
+_REAL_EMIT = cli._emit
+
+
+class TestTextEmit:
+    def test_one_write_matches_a_print_per_line(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "fan14.graph"
+        path.write_text(emit_graph(fan(14)))
+        reports = []
+        monkeypatch.setattr(cli, "_emit", lambda report, as_json: reports.append(report))
+        assert cli.main(["classify", str(path), "--all"]) == 0
+        capsys.readouterr()
+        for report in (reports[0], {}, {"records": []}):
+            _REAL_EMIT(report, False)
+            written = capsys.readouterr().out
+            for line in cli._text_lines(report):
+                print(line)
+            assert written == capsys.readouterr().out
+        assert len(cli._text_lines(reports[0])) > 100_000
+        _REAL_EMIT({}, False)
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:
