@@ -23,6 +23,7 @@ from .fields import QQ
 from .graphs import (
     Graph,
     Path,
+    _PathPair,
     _edge_path,
     enumerate_paths,
     exitless_cycle_vertices,
@@ -32,38 +33,11 @@ from .graphs import (
 )
 
 
-class Monomial:
-    """p.q* with r(p) = r(q); the star reverses q.
+class Monomial(_PathPair):
+    """p.q* with r(p) = r(q); the star reverses q.  A value object with
+    the shared body of ``graphs._PathPair``: equal to monomials only."""
 
-    A value object like ``graphs.Path``: equal to monomials only, with a
-    hash kept after first use.  Immutable by convention, with no
-    ``__setattr__`` guard, as ``AlgebraElement`` is; pickled from its
-    fields.
-    """
-
-    __slots__ = ("p", "q", "_hash")
-
-    def __init__(self, p: Path, q: Path):
-        self.p = p
-        self.q = q
-        self._hash = None
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.p, self.q))
-        return h
-
-    def __repr__(self):
-        return f"Monomial(p={self.p!r}, q={self.q!r})"
-
-    def __reduce__(self):
-        return (Monomial, (self.p, self.q))
+    __slots__ = ()
 
     @property
     def degree(self) -> int:

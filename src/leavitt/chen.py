@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     Path,
     RationalTailSpec,
+    _PathPair,
     _classify_cycle,
     _edge_path,
     breaking_vertices,
@@ -50,38 +51,12 @@ from .ideals import (
 # ---------------------------------------------------------------------------
 
 
-class ReducedPair:
+class ReducedPair(_PathPair):
     """Basis element p.q* of an N_c system: q runs inside the cycle from the
-    chosen basepoint, and p does not end with q's last edge.
+    chosen basepoint, and p does not end with q's last edge.  A value
+    object with the shared body of ``graphs._PathPair``."""
 
-    A value object like ``graphs.Path``: a hash kept after first use,
-    immutable by convention (no ``__setattr__`` guard), pickled from its
-    fields.
-    """
-
-    __slots__ = ("p", "q", "_hash")
-
-    def __init__(self, p: Path, q: Path):
-        self.p = p
-        self.q = q
-        self._hash = None
-
-    def __eq__(self, other):
-        if other.__class__ is not ReducedPair:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.p, self.q))
-        return h
-
-    def __repr__(self):
-        return f"ReducedPair(p={self.p!r}, q={self.q!r})"
-
-    def __reduce__(self):
-        return (ReducedPair, (self.p, self.q))
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -257,6 +232,7 @@ def emitter_subtype(g: Graph, v: str) -> str:
     back in means ``infinite``, no edge back means ``empty``, otherwise
     ``in_B_H``.  Edges, not target vertices, are counted, since a bundle's
     infinitely many returns may all land on one vertex."""
+    g.check_vertices([v])
     if not g.is_infinite_emitter(v):
         raise InputError(f"{v!r} is not an infinite emitter")
     returns = return_edge_count(g, v)
@@ -281,6 +257,7 @@ def nc_module(g: Graph, cycle: Cycle, v: str) -> NcModule:
 
 
 def sink_module(g: Graph, v: str) -> SinkModule:
+    g.check_vertices([v])
     if not g.is_sink(v):
         raise InputError(f"{v!r} is not a sink")
     return SinkModule(v)
@@ -579,38 +556,12 @@ class IrrationalTailSystem(BranchingSystem):
         return len(x.q) - x.m
 
 
-class NaivePair:
+class NaivePair(_PathPair):
     """Formal p.q* pair without the shared-range requirement; the historical
-    non-example whose axiom (4) fails.
+    non-example whose axiom (4) fails.  A value object with the shared body
+    of ``graphs._PathPair``."""
 
-    A value object like ``graphs.Path``: a hash kept after first use,
-    immutable by convention (no ``__setattr__`` guard), pickled from its
-    fields.
-    """
-
-    __slots__ = ("p", "q", "_hash")
-
-    def __init__(self, p: Path, q: Path):
-        self.p = p
-        self.q = q
-        self._hash = None
-
-    def __eq__(self, other):
-        if other.__class__ is not NaivePair:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.p, self.q))
-        return h
-
-    def __repr__(self):
-        return f"NaivePair(p={self.p!r}, q={self.q!r})"
-
-    def __reduce__(self):
-        return (NaivePair, (self.p, self.q))
+    __slots__ = ()
 
     def __str__(self):
         return f"({self.p}).({self.q})*"

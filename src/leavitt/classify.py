@@ -57,7 +57,6 @@ from .graphs import (
     _classify_cycle,
     _first_cycle,
     _lattice,
-    _root_of,
     breaking_vertices,
     is_downwards_directed,
 )
@@ -173,11 +172,12 @@ class _HFacts:
     both routes.  Built by ``_h_facts`` for a proper H known to be
     hereditary and saturated."""
 
-    __slots__ = ("comp", "B", "not_directed", "bases", "base", "at")
+    __slots__ = ("comp", "comp_mask", "B", "not_directed", "bases", "base", "at")
 
     def __init__(self, g: Graph, H: frozenset):
         lattice = _lattice(g)
         self.comp = comp = g.vertices - H
+        self.comp_mask = lattice.mask(comp)
         self.B = breaking_vertices(g, H)
         # the condition route: why the complement is not downwards directed
         directed, pair = is_downwards_directed(g, comp)
@@ -185,7 +185,7 @@ class _HFacts:
             f"complement not downwards directed (pair {pair})"
         )
         # the case route: the base vertices, the first of them classified
-        self.bases = lattice.by_root.get(lattice.mask(comp), ())
+        self.bases = lattice.by_root.get(self.comp_mask, ())
         if directed != bool(self.bases):
             raise InternalCheckError(
                 f"routes disagree on H = {{{','.join(sorted(H))}}}: "
@@ -202,7 +202,7 @@ class _HFacts:
         if len(missing) > 1:
             return "S misses more than one breaking vertex"
         for u in missing:
-            if _root_of(g, u) != self.comp:
+            if _lattice(g).root[u] != self.comp_mask:
                 return f"root({u}) is not the whole complement"
         return None
 

@@ -116,12 +116,44 @@ class Rationals:
         return Fraction(x)
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below _PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86, 2017); the first 12 reach only 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= n < _PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if self.p >= _PRIME_LIMIT:
+            raise InputError(f"prime fields need p < {_PRIME_LIMIT}")
+        if not _is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
 
     @property

@@ -11,7 +11,8 @@ reaches V and the tree T(V) everything V reaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError
@@ -37,9 +38,6 @@ class _Analysis:
     __slots__ = (
         "cycles",
         "first_cycles",
-        "roots",
-        "trees",
-        "regular_targets",
         "successors",
         "predecessors",
         "edge_paths",
@@ -54,16 +52,13 @@ class _Analysis:
     def __init__(self):
         self.cycles = {}  # bundle_sample -> tuple of cycles, in enumeration order
         self.first_cycles = {}  # (touch, sample, exclude) -> _first_cycle's answer
-        self.roots = {}  # v -> R({v})
-        self.trees = {}  # v -> T({v})
-        self.regular_targets = None  # regular v -> targets of its edges
         self.successors = None  # v -> frozenset of the vertices v emits into
         self.predecessors = None  # v -> frozenset of the vertices emitting into v
         self.edge_paths = {}  # edge ref -> its one-edge Path
         self.atoms = {}  # expression name -> its unit Monomial, filled by graphio
         self.breaking = {}  # hereditary saturated H -> B_H
         self.quotients = {}  # (H, S) -> ideals.QuotientGraph, filled by ideals
-        self.lattice = None  # the vertex sets as bitmasks, see _lattice
+        self.lattice = None  # reachability as bitmasks, see _lattice
         self.cycle_classes = {}  # (cycle, V) -> _classify_cycle's answer
         self.h_facts = {}  # proper H -> classify._HFacts, filled by classify
 
@@ -271,6 +266,41 @@ class Path:
         if not self.steps:
             return self.start
         return "".join(ref_str(s) for s in self.steps)
+
+
+class _PathPair:
+    """The value-object body of a pair p.q* of paths, shared by
+    ``algebra.Monomial`` and the chen pairs, which add only their own
+    methods.
+
+    A value object like ``Path``: equal to pairs of its own class only, a
+    hash kept after first use, immutable by convention (no ``__setattr__``
+    guard), pickled from its fields.
+    """
+
+    __slots__ = ("p", "q", "_hash")
+
+    def __init__(self, p: Path, q: Path):
+        self.p = p
+        self.q = q
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.p, self.q))
+        return h
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}(p={self.p!r}, q={self.q!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.p, self.q))
 
 
 def vertex_path(v: str) -> Path:
@@ -496,73 +526,57 @@ def _closure(adjacency, seeds: Iterable[str]) -> frozenset:
     return frozenset(seen)
 
 
-def _root_of(g: Graph, v: str) -> frozenset:
-    roots = g._analysis.roots
-    r = roots.get(v)
-    if r is None:
-        r = roots[v] = _closure(g.predecessors, [v])
-    return r
-
-
-def _tree_of(g: Graph, v: str) -> frozenset:
-    trees = g._analysis.trees
-    t = trees.get(v)
-    if t is None:
-        t = trees[v] = _closure(g.successors, [v])
-    return t
-
-
 def root(g: Graph, V: Iterable[str]) -> frozenset:
     """R(V): every vertex with a path into V (reverse reachability), the
-    union of the per-vertex roots, which are computed once per graph."""
+    union of the per-vertex root bitmasks of ``_lattice``."""
     V = g.check_vertices(V)
-    return frozenset().union(*(_root_of(g, v) for v in V))
+    lattice = _lattice(g)
+    return lattice.names(reduce(or_, map(lattice.root.__getitem__, V), 0))
 
 
 def tree(g: Graph, V: Iterable[str]) -> frozenset:
     """T(V): every vertex some member of V reaches (forward reachability),
-    the union of the per-vertex trees, which are computed once per graph."""
+    the union of the per-vertex tree bitmasks of ``_lattice``."""
     V = g.check_vertices(V)
-    return frozenset().union(*(_tree_of(g, v) for v in V))
+    lattice = _lattice(g)
+    return lattice.names(reduce(or_, map(lattice.tree.__getitem__, V), 0))
 
 
 def is_hereditary(g: Graph, H: Iterable[str]):
     """H is hereditary when members only ever reach members.
 
-    Returns (True, None) or (False, (u, v)) with u in H reaching v outside H.
+    Returns (True, None) or (False, (u, v)) with u in H reaching v outside H:
+    the least escape of the least member.
     """
     H = g.check_vertices(H)
+    lattice = _lattice(g)
+    outside = ~lattice.mask(H)
     for u in sorted(H):
-        escaped = _tree_of(g, u) - H
+        escaped = lattice.tree[u] & outside
         if escaped:
-            return False, (u, min(escaped))
+            return False, (u, min(lattice.names(escaped)))
     return True, None
 
 
-def _regular_targets(g: Graph) -> dict:
-    """Each regular vertex, in vertex order, mapped to the targets of its
-    edges; built once per graph."""
-    analysis = g._analysis
-    if analysis.regular_targets is None:
-        analysis.regular_targets = {
-            v: frozenset(g.edges[e][1] for e in g._out_edges[v])
-            for v in g.vertex_list
-            if g.is_regular(v)
-        }
-    return analysis.regular_targets
-
-
 def is_saturated(g: Graph, H: Iterable[str]):
-    """H absorbs every regular vertex whose edges all land in H."""
+    """H absorbs every regular vertex whose edges all land in H.
+
+    Returns (True, None) or (False, v) for the first such v in name order
+    outside H.
+    """
     H = g.check_vertices(H)
-    for v, targets in _regular_targets(g).items():
-        if v not in H and targets <= H:
+    lattice = _lattice(g)
+    outside = ~lattice.mask(H)
+    for v, bit, targets in lattice.regular:
+        if bit & outside and not targets & outside:
             return False, v
     return True, None
 
 
 class _Lattice:
-    """The vertex sets of one graph as int bitmasks, for the pair lattice.
+    """The reachability of one graph as int bitmasks, built once per graph:
+    the one store of R(v), T(v), the regular vertices and the infinite
+    emitters that every reachability predicate reads.
 
     ``order`` lists the vertices by decreasing |T(v)|, ties broken by name,
     and the vertex at position i has bit ``1 << i``.  A vertex reaching w
@@ -570,30 +584,40 @@ class _Lattice:
     it comes before w.
     """
 
-    __slots__ = ("order", "bit", "by_name", "trees", "by_root", "saturating", "emitters")
+    __slots__ = (
+        "order", "bit", "by_name", "tree", "root", "trees", "by_root", "regular",
+        "saturating", "emitters",
+    )
 
     def __init__(self, g: Graph):
-        self.order = tuple(sorted(g.vertex_list, key=lambda v: (-len(_tree_of(g, v)), v)))
+        reach = {v: _closure(g.successors, [v]) for v in g.vertex_list}  # T(v)
+        self.order = tuple(sorted(g.vertex_list, key=lambda v: (-len(reach[v]), v)))
         bit = self.bit = {v: 1 << i for i, v in enumerate(self.order)}
         mask = self.mask
 
-        tree = {v: mask(_tree_of(g, v)) for v in self.order}
-        self.trees = tuple(tree.values())  # T(v) by position
+        tree = self.tree = {v: mask(reach[v]) for v in g.vertex_list}  # T(v) by name
+        self.trees = tuple(tree[v] for v in self.order)  # T(v) by position
         self.by_name = tuple((v, bit[v], tree[v]) for v in g.vertex_list)  # (v, bit, T(v)), sorted
-        # R(v) -> the vertices v with that root, sorted; R(v) holds the
-        # vertices whose tree holds v
-        self.by_root = {}
+        # R(v) holds the vertices whose tree holds v; by_root maps R(v) to
+        # the vertices v with that root, sorted
+        self.root, self.by_root = {}, {}
         for v, b, _ in self.by_name:
-            r = sum(1 << i for i, t in enumerate(self.trees) if t & b)
+            r = self.root[v] = sum(1 << i for i, t in enumerate(self.trees) if t & b)
             self.by_root[r] = self.by_root.get(r, ()) + (v,)
-        # (bit, targets) of each regular vertex on no cycle, last position
-        # first.  A vertex on a cycle is in every hereditary set holding its
-        # targets, and the targets of one on no cycle come after it.
-        regular = _regular_targets(g)
+        # (v, bit, targets) of each regular vertex, sorted
+        self.regular = tuple(
+            (v, bit[v], mask({g.edges[e][1] for e in g._out_edges[v]}))
+            for v in g.vertex_list
+            if g.is_regular(v)
+        )
+        # (bit, targets) of each regular vertex on no cycle, that is with no
+        # target in its root, last position first.  A vertex on a cycle is in
+        # every hereditary set holding its targets, and the targets of one on
+        # no cycle come after it.
         self.saturating = tuple(
-            (bit[v], mask(regular[v]))
-            for v in reversed(self.order)
-            if v in regular and not any(v in _tree_of(g, t) for t in regular[v])
+            (b, targets)
+            for v, b, targets in sorted(self.regular, key=lambda r: -r[1])
+            if not self.root[v] & targets
         )
         # (v, bit, bundle targets, edge targets) of each infinite emitter, sorted
         self.emitters = tuple(
@@ -610,6 +634,20 @@ class _Lattice:
     def mask(self, vertices) -> int:
         """The bitmask of a set of vertex names."""
         return sum(map(self.bit.__getitem__, vertices))
+
+    def names(self, V: int) -> frozenset:
+        """The vertex names of the bitmask V."""
+        return frozenset(v for v, b, _ in self.by_name if V & b)
+
+    def breaking(self, H: int) -> tuple:
+        """B_H in name order, for a hereditary saturated H: the infinite
+        emitters outside H whose edge set into the complement is nonempty
+        and finite, that is every bundle lands in H and some edge does not."""
+        return tuple(
+            v
+            for v, b, bundle_targets, edge_targets in self.emitters
+            if not H & b and not bundle_targets & ~H and edge_targets & ~H
+        )
 
     def downwards_directed(self, V: int):
         """(True, None) when every two members u, w of the set V reach a
@@ -652,8 +690,7 @@ def _lattice(g: Graph) -> _Lattice:
 def hereditary_saturated_closure(g: Graph, V: Iterable[str]) -> frozenset:
     """Least hereditary and saturated superset of V (fixed point of both rules)."""
     lattice = _lattice(g)
-    H = lattice.closure(lattice.mask(g.check_vertices(V)))
-    return frozenset(v for v, b, _ in lattice.by_name if H & b)
+    return lattice.names(lattice.closure(lattice.mask(g.check_vertices(V))))
 
 
 def is_downwards_directed(g: Graph, V: Iterable[str]):
@@ -904,9 +941,10 @@ def _classify_cycle(g: Graph, c: Cycle, V: frozenset) -> CycleClassification:
         # No other cycle passes through a vertex of c exactly when each
         # vertex of c has one sample-1 ref into c and c is the strongly
         # connected component T(v) & R(v) of its vertices.
+        lattice = _lattice(g)
         exclusive = all(
             sum(g.tgt(ref) in on_cycle for ref in g.out_refs(v)) == 1 for v in c.sources
-        ) and _tree_of(g, c.base) & _root_of(g, c.base) == on_cycle
+        ) and lattice.tree[c.base] & lattice.root[c.base] == lattice.mask(on_cycle)
 
     exits_in_V = [ref for ref in cycle_exits(g, c) if g.tgt(ref) in V]
     no_exit_in_V = not exits_in_V
@@ -993,13 +1031,6 @@ def _breaking_vertices(g: Graph, H: frozenset) -> frozenset:
     """B_H for an H the caller knows to be hereditary and saturated.  The
     result is remembered per graph, and a remembered H counts as validated
     by ``breaking_vertices``, the one check of H that ``ideals`` uses too."""
-    out = set()
-    for v in g.vertex_list:
-        if v in H or not g.is_infinite_emitter(v):
-            continue
-        if any(g.tgt((b, 0)) not in H for b in g.out_bundle_ids(v)):
-            continue  # infinitely many edges stay outside H
-        if any(g.tgt(e) not in H for e in g.out_edge_ids(v)):
-            out.add(v)
-    B = g._analysis.breaking[H] = frozenset(out)
+    lattice = _lattice(g)
+    B = g._analysis.breaking[H] = frozenset(lattice.breaking(lattice.mask(H)))
     return B

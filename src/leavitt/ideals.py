@@ -12,6 +12,7 @@ to zero there.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,16 +111,10 @@ def hereditary_saturated_sets(g: Graph):
                 H = C
                 closed.append(H)
                 break
-    found = []
-    for H in closed:
-        names = tuple(v for v, bit, _ in lattice.by_name if H & bit)
-        B = tuple(
-            v
-            for v, bit, bundle_targets, edge_targets in lattice.emitters
-            if not H & bit and not bundle_targets & ~H and edge_targets & ~H
-        )
-        found.append((names, B))
-    found.sort()
+    found = sorted(
+        (tuple(v for v, bit, _ in lattice.by_name if H & bit), lattice.breaking(H))
+        for H in closed
+    )
     breaking = g._analysis.breaking
     for names, B in found:
         breaking[frozenset(names)] = frozenset(B)
@@ -313,9 +308,7 @@ def laurent_irreducible(f: LaurentPolynomial, assume_irreducible: bool = False):
     if d in (2, 3):
         # Reducible over Q exactly when a linear factor (rational root) exists;
         # root 0 is excluded since the lowest term is the constant 1.
-        scale = 1
-        for _, k in f.coeffs:
-            scale = scale * k.denominator // _gcd(scale, k.denominator)
+        scale = math.lcm(*(k.denominator for _, k in f.coeffs))
         int_coeffs = {n: int(k * scale) for n, k in f.coeffs}
         p0, pl = abs(int_coeffs.get(0, 0)), abs(int_coeffs[d])
         for p in _divisors(p0):
@@ -331,12 +324,6 @@ def laurent_irreducible(f: LaurentPolynomial, assume_irreducible: bool = False):
         f"cannot decide irreducibility at degree {d} > 3; "
         "construct the descriptor with assume_irreducible=True"
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int):

@@ -22,8 +22,13 @@ import itertools
 
 from leavitt import classify as cls
 from leavitt.errors import InputError, InternalCheckError
-from leavitt.graphs import _root_of, breaking_vertices, root
+from leavitt.graphs import _closure, breaking_vertices
 from leavitt.ideals import admissible_pair, is_proper
+
+
+def _root_of(g, v):
+    """R(v) on frozensets, searched afresh."""
+    return _closure(g.predecessors, [v])
 
 
 def downwards_directed(g, V):
@@ -66,7 +71,7 @@ def evaluate_by_condition(g, pair):
     form = s_form(g, pair)
     if form is None:
         return False, "S misses more than one breaking vertex"
-    if form.kind == "minus" and root(g, [form.u]) != comp:
+    if form.kind == "minus" and _root_of(g, form.u) != comp:
         return False, f"root({form.u}) is not the whole complement"
     return True, None
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from leavitt import algebra as alg
 from leavitt.catalog import CATALOG, G1, G2, G3, G5, random_graph
 from leavitt.errors import InputError
-from leavitt.fields import QQ, ModInt, PrimeField, field_from_spec
+from leavitt.fields import _PRIME_LIMIT, QQ, ModInt, PrimeField, _is_prime, field_from_spec
 from leavitt.graphs import Path, _edge_path, enumerate_paths, make_path, vertex_path
 from smallgraphs import three_vertex_graphs
 from valueobjects import check_value_object
@@ -359,6 +361,36 @@ class TestPrimeField:
             field_from_spec("p:6")
         with pytest.raises(InputError):
             field_from_spec("weird")
+
+    def test_primality_matches_trial_division(self):
+        def trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        for p in range(-2, 10**4):
+            assert _is_prime(p) == trial_division(p), p
+            if trial_division(p):
+                assert PrimeField(p).p == p
+            else:
+                with pytest.raises(InputError, match="is not prime"):
+                    PrimeField(p)
+
+    def test_large_primes(self):
+        start = time.perf_counter()
+        assert field_from_spec(f"p:{2**61 - 1}") == PrimeField(2**61 - 1)
+        assert PrimeField(2**31 - 1).p == 2**31 - 1
+        assert time.perf_counter() - start < 0.5
+        # the least strong pseudoprime to the first 12 prime bases: base 41
+        # tells it is composite
+        with pytest.raises(InputError, match="is not prime"):
+            PrimeField(318665857834031151167461)
+        for composite in (2**61 + 1, (2**31 - 1) * (10**9 + 7), (2**61 - 1) * (2**13 - 1)):
+            with pytest.raises(InputError, match="is not prime"):
+                PrimeField(composite)
+        for p in (_PRIME_LIMIT, 2**127 - 1, int("1" * 400)):
+            with pytest.raises(InputError, match="prime fields need p < "):
+                PrimeField(p)
+        with pytest.raises(InputError):
+            field_from_spec("p:" + "1" * 400)
 
     def test_ring_axioms_over_gf5(self):
         rng = random.Random(8)

@@ -181,6 +181,11 @@ class TestDescriptors:
         with pytest.raises(InputError):
             chen.sink_module(G2, "v")
 
+    def test_unknown_vertex_is_an_input_error(self):
+        for build in (chen.sink_module, chen.inf_emitter_module, chen.emitter_subtype):
+            with pytest.raises(InputError, match=r"unknown vertex id\(s\): \['zz'\]"):
+                build(G3, "zz")
+
     def test_emitter_subtypes(self):
         assert chen.inf_emitter_module(G4, "v").subtype == "infinite"
         assert chen.inf_emitter_module(G2, "v").subtype == "in_B_H"

@@ -837,6 +837,16 @@ MALFORMED = {
         ["act", "FILE", "--module", "nc:c@v", "--element", "v",
          "--basis", "c c c c c c c"],
     ),
+    "sink selector at an unknown vertex": (G3_TEXT, ["ann", "FILE", "--module", "sink:zz"]),
+    "emitter selector at an unknown vertex": (
+        G3_TEXT,
+        ["act", "FILE", "--module", "emitter:zz", "--element", "u", "--basis", "u"],
+    ),
+    "field of 400 digits": (
+        G3_TEXT,
+        ["--field", "p:" + "1" * 400, "act", "FILE", "--module", "sink:w",
+         "--element", "u", "--basis", "w"],
+    ),
     "element nested 3000 parentheses deep": (
         G3_TEXT,
         ["act", "FILE", "--module", "sink:w", "--element", "(" * 3000 + "u" + ")" * 3000,

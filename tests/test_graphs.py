@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from collections import Counter
@@ -7,9 +8,11 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leavitt import graphs
+from leavitt import cli, graphs
+from leavitt import ideals as idl
 from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6, random_graph
 from leavitt.errors import InputError
+from leavitt.graphio import emit_graph, parse_graph_document
 from leavitt.graphs import (
     Graph,
     RationalTailSpec,
@@ -40,7 +43,7 @@ from leavitt.graphs import (
     vertex_path,
 )
 import perpair
-from smallgraphs import three_vertex_graphs
+from smallgraphs import fan, three_vertex_graphs
 from valueobjects import check_value_object
 
 LINE = Graph(["a", "b"], edges={"x": ("a", "b")})
@@ -570,6 +573,9 @@ class TestAnalysisCache:
     def test_closures_match_search(self):
         rng = random.Random(7)
         for g in _oracle_graphs():
+            for v in g.vertex_list:
+                assert root(g, [v]) == _closure(g.predecessors, [v])
+                assert tree(g, [v]) == _closure(g.successors, [v])
             for _ in range(3):
                 V = [v for v in g.vertex_list if rng.random() < 0.5]
                 assert root(g, V) == _closure(g.predecessors, V)
@@ -623,6 +629,37 @@ class TestAnalysisCache:
                     assert (cls.extreme_in_V, cls.escape) == extreme(g, c, V)
                     cases += 1
         assert cases > 1000, cases
+
+    def test_reachability_reads_only_the_lattice(self, monkeypatch, tmp_path, capsys):
+        # Once the lattice of a graph is built, no reachability predicate
+        # and no pair listing searches the graph again.
+        def refuse(*args):
+            raise AssertionError("a reachability search ran")
+
+        def answers(g):
+            return [
+                (tree(g, [v]), root(g, [v]), is_hereditary(g, [v]), is_saturated(g, [v]),
+                 breaking_vertices(g, hereditary_saturated_closure(g, [v])))
+                for v in g.vertex_list
+            ]
+
+        graphs_ = [Graph(g.vertices, g.edges, g.bundles) for g in CATALOG.values()]
+        graphs_.append(fan(4))
+        rng = random.Random(17)
+        graphs_ += [random_graph(rng, 7, 12, 3) for _ in range(20)]
+        docs = [parse_graph_document(emit_graph(g)) for g in graphs_]
+        want = [answers(g) for g in graphs_]
+        counts = [len(idl.enumerate_admissible_pairs(g)) for g in graphs_]
+        for doc in docs:
+            graphs._lattice(doc.graph)
+        monkeypatch.setattr(graphs, "_closure", refuse)
+        path = tmp_path / "g.graph"
+        path.write_text("vertex v\n")
+        for doc, rows, count in zip(docs, want, counts):
+            assert answers(doc.graph) == rows
+            monkeypatch.setattr(cli, "parse_graph_document", lambda text, doc=doc: doc)
+            assert cli.main(["--json", "pairs", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["count"] == count
 
     def test_closure_still_validates(self):
         g = Graph(G3.vertices, G3.edges, G3.bundles)

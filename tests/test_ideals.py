@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +12,8 @@ from leavitt.errors import InputError
 from leavitt.fields import QQ, PrimeField
 from leavitt.graphs import (
     Graph,
-    _breaking_vertices,
+    _closure,
     _lattice,
-    _regular_targets,
-    _tree_of,
     breaking_vertices,
     enumerate_cycles,
     enumerate_paths,
@@ -48,10 +47,38 @@ def _subset_pairs(g):
     return pairs
 
 
+def _tree_of(g, v):
+    """T(v) on frozensets, searched afresh."""
+    return _closure(g.successors, [v])
+
+
+def _regular_targets(g):
+    """Each regular vertex, in name order, mapped to the targets of its
+    edges."""
+    return {
+        v: frozenset(g.tgt(e) for e in g.out_edge_ids(v))
+        for v in g.vertex_list
+        if g.is_regular(v)
+    }
+
+
+def _breaking_vertices(g, H):
+    """B_H on frozensets for a hereditary saturated H: the infinite
+    emitters outside H with every bundle into H and some edge out of H."""
+    return frozenset(
+        v
+        for v in g.vertex_list
+        if v not in H
+        and g.is_infinite_emitter(v)
+        and all(g.tgt((b, 0)) in H for b in g.out_bundle_ids(v))
+        and any(g.tgt(e) not in H for e in g.out_edge_ids(v))
+    )
+
+
 def _frozenset_closure(g, V):
     """Oracle of the bitmask closure: least hereditary and saturated
     superset of V, on frozensets (fixed point of both rules)."""
-    H = set(tree(g, V))
+    H = set().union(*(_tree_of(g, v) for v in V))
     regular_targets = _regular_targets(g)
     changed = True
     while changed:
@@ -238,22 +265,11 @@ class TestBreakingMemo:
         assert _error(pair, g, ["w"], ["nope"]) == "unknown vertex id(s): ['nope']"
 
     def test_remembered_b_h_matches_definition(self):
-        # B_H: infinite emitters outside H with every bundle into H and some
-        # edge out of H, read off the graph without the memo.
-        def definition(g, H):
-            return {
-                v
-                for v in g.vertex_list
-                if v not in H
-                and g.out_bundle_ids(v)
-                and all(g.tgt((b, 0)) in H for b in g.out_bundle_ids(v))
-                and any(g.tgt(e) not in H for e in g.out_edge_ids(v))
-            }
-
+        # B_H read off the graph without the memo or the lattice
         rng = random.Random(47)
         for g in [random_graph(rng) for _ in range(300)]:
             for p in idl.enumerate_admissible_pairs(g):
-                assert breaking_vertices(g, p.H) == definition(g, p.H)
+                assert breaking_vertices(g, p.H) == _breaking_vertices(g, p.H)
                 assert pair(g, p.H, p.S) == p
 
 
@@ -605,6 +621,17 @@ class TestLaurent:
         assert idl.laurent_irreducible(idl.laurent({0: 1, 2: 1}))  # x^2 + 1
         assert not idl.laurent_irreducible(idl.laurent({0: -1, 2: 1}))  # (x-1)(x+1)
         assert idl.laurent_irreducible(idl.laurent({0: -2, 2: 1}))  # x^2 - 2
+
+    def test_fractional_coefficients(self):
+        # the lowest term is scaled to 1, so the others carry denominators
+        assert idl.laurent({0: 3, 2: -1}).coeffs == ((0, 1), (2, Fraction(-1, 3)))
+        assert idl.laurent_irreducible(idl.laurent({0: 3, 2: -1}))  # x^2 - 3
+        assert not idl.laurent_irreducible(idl.laurent({0: 4, 2: -9}))  # (2-3x)(2+3x)
+        assert not idl.laurent_irreducible(idl.laurent({0: 6, 1: 5, 2: 1}))  # (x+2)(x+3)
+        # denominators 3 and 4: the integer scale is their lcm, 12
+        assert not idl.laurent_irreducible(idl.laurent({0: -12, 1: 16, 2: 3}))  # (3x-2)(x+6)
+        assert not idl.laurent_irreducible(idl.laurent({0: -2, 1: 3, 2: -2, 3: 3}))  # (3x-2)(x^2+1)
+        assert idl.laurent_irreducible(idl.laurent({0: 10, 3: 3}))  # 3x^3 + 10
 
     def test_cubics(self):
         assert idl.laurent_irreducible(idl.laurent({0: 2, 3: 1}))  # x^3 + 2
