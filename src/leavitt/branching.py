@@ -176,28 +176,40 @@ class AxiomReport:
 
 def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
     """Evaluate axioms (1)-(4), perfect, saturated, and gradedness on the
-    window.  Violations carry the witness basis element."""
+    window.  Violations carry the witness basis element.
+
+    Each element's fibers are asked once; the per-ref checks read them as
+    flags.  Per edge ref e, in window order, x in X_r(e) maps forward to
+    y = sigma(e, x) and back; a round trip that closes marks y paired, and
+    the backward check at a paired y is skipped, as it would ask the same
+    questions again.  Elements the enumeration yields are taken to lie in
+    the window."""
     report = AxiomReport()
-    window = []
-    seen = set()
+    index = {}  # element -> position in window order
     for x in sys.enumerate(t):
-        if x in seen:
+        if x in index:
             raise MalformedSystem(f"duplicate basis element {x!r}")
-        seen.add(x)
-        window.append(x)
+        index[x] = len(index)
+    n = len(index)
 
     refs = sys.edge_refs(t)
     g = sys.graph
+    member_vertex, member_edge = sys.member_vertex, sys.member_edge
+    at_vertex = {v: bytearray(n) for v in g.vertex_list}  # X_v as flags
+    at_edge = {e: bytearray(n) for e in refs}  # X_e as flags
 
-    for x in window:
-        vs = [v for v in g.vertex_list if sys.member_vertex(x, v)]
+    for i, x in enumerate(index):
+        vs = [v for v in g.vertex_list if member_vertex(x, v)]
         if len(vs) > 1:
             report.note("axiom1", (x, vs))
-        es = [e for e in refs if sys.member_edge(x, e)]
+        es = [e for e in refs if member_edge(x, e)]
         if len(es) > 1:
             report.note("axiom1", (x, es))
+        for v in vs:
+            at_vertex[v][i] = 1
         for e in es:
-            if not sys.member_vertex(x, g.src(e)):
+            at_edge[e][i] = 1
+            if g.src(e) not in vs:
                 report.note("axiom2", (x, e))
         if not vs:
             report.note("saturated", x)
@@ -209,29 +221,38 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
             elif g.is_infinite_emitter(v):
                 report.note("perfect", x)
 
+    sigma, sigma_inv, in_window = sys.sigma, sys.sigma_inv, sys.in_window
+    degree = sys.degree if sys.graded else None
+    overflow = report.overflow_notes
     for e in refs:
         rv = g.tgt(e)
-        for x in window:
-            if sys.member_vertex(x, rv):
-                y = sys.sigma(e, x)
-                if sys.in_window(y, t):
-                    if not sys.member_edge(y, e):
+        at_r, at_e = at_vertex[rv], at_edge[e]
+        paired = bytearray(n)
+        for i, x in enumerate(index):
+            if at_r[i]:
+                y = sigma(e, x)
+                if in_window(y, t):
+                    j = index.get(y)
+                    if not (member_edge(y, e) if j is None else at_e[j]):
                         report.note("axiom3", (x, e))
-                    elif sys.sigma_inv(e, y) != x:
+                    elif sigma_inv(e, y) != x:
                         report.note("axiom3", (x, e, "inverse mismatch"))
-                    if sys.graded and sys.degree(y) != sys.degree(x) + 1:
+                    elif j is not None:
+                        paired[j] = 1
+                    if degree is not None and degree(y) != degree(x) + 1:
                         report.note("graded", (x, e))
                 else:
-                    report.overflow_notes.append((e, x))
-            if sys.member_edge(x, e):
-                x2 = sys.sigma_inv(e, x)
-                if sys.in_window(x2, t):
-                    if not sys.member_vertex(x2, rv):
+                    overflow.append((e, x))
+            if at_e[i] and not paired[i]:
+                x2 = sigma_inv(e, x)
+                if in_window(x2, t):
+                    k = index.get(x2)
+                    if not (member_vertex(x2, rv) if k is None else at_r[k]):
                         report.note("axiom3", (x, e, "inverse range"))
-                    elif sys.sigma(e, x2) != x:
+                    elif sigma(e, x2) != x:
                         report.note("axiom3", (x, e, "inverse composition"))
                 else:
-                    report.overflow_notes.append((e, x))
+                    overflow.append((e, x))
 
     if not sys.graded:
         report.graded = False

@@ -186,9 +186,11 @@ def field_from_spec(spec: str):
     spec = spec.strip().lower()
     if spec in ("q", "qq", "rational", "rationals"):
         return QQ
+    shown = spec if len(spec) <= 24 else spec[:20] + "..."
     if spec.startswith("p:"):
         try:
-            return PrimeField(int(spec[2:]))
+            p = int(spec[2:])
         except ValueError as exc:
-            raise InputError(f"bad prime in field spec {spec!r}") from exc
-    raise InputError(f"unknown field spec {spec!r} (expected 'q' or 'p:<prime>')")
+            raise InputError(f"bad prime in field spec {shown!r}") from exc
+        return PrimeField(p)  # whose InputError gives the reason
+    raise InputError(f"unknown field spec {shown!r} (expected 'q' or 'p:<prime>')")

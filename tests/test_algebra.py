@@ -358,9 +358,22 @@ class TestPrimeField:
         assert field_from_spec("q") == QQ
         assert field_from_spec("p:7") == PrimeField(7)
         with pytest.raises(InputError):
-            field_from_spec("p:6")
-        with pytest.raises(InputError):
             field_from_spec("weird")
+
+    def test_field_spec_keeps_the_reason(self):
+        # PrimeField's own message comes through, and no message repeats
+        # a long spec in full
+        with pytest.raises(InputError, match=r"^6 is not prime$"):
+            field_from_spec("p:6")
+        for p in (_PRIME_LIMIT, int("1" * 400)):
+            with pytest.raises(InputError, match=r"^prime fields need p < \d+$"):
+                field_from_spec(f"p:{p}")
+        with pytest.raises(InputError, match=r"^bad prime in field spec 'p:x'$"):
+            field_from_spec("p:x")
+        for spec in ("p:" + "x" * 400, "y" * 400):
+            with pytest.raises(InputError) as exc:
+                field_from_spec(spec)
+            assert len(str(exc.value)) < 80
 
     def test_primality_matches_trial_division(self):
         def trial_division(p):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import axiomsoracle
 from leavitt import algebra as alg
 from leavitt import chen
 from leavitt.branching import (
@@ -15,10 +16,11 @@ from leavitt.branching import (
     check_axioms,
     degree_histogram,
 )
-from leavitt.catalog import G1, G2, G3, G4, G5, G6
+from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
 from leavitt.errors import InputError, MalformedSystem, WindowOverflow
 from leavitt.fields import QQ, PrimeField
-from leavitt.graphs import enumerate_cycles, enumerate_paths, vertex_path
+from leavitt.graphs import enumerate_cycles, enumerate_paths, make_path, vertex_path
+from leavitt.verification import catalog_modules
 
 T = Truncation(4, 2)
 
@@ -82,12 +84,107 @@ class TestCheckAxioms:
                 sys, name, lambda *a, _n=name, _m=method: calls.update([_n]) or _m(*a)
             )
         rep = check_axioms(sys, t)
-        # one in_window per sigma(e, x) for x in X_r(e), one per sigma_inv(e, x)
-        # for x in X_e: the graded test reuses the axiom (3) test's answer
-        assert calls["in_window"] == images + preimages == 74_356
-        assert calls["sigma"] == 74_355 and calls["sigma_inv"] == 37_177
+        # one sigma and one in_window per x in X_r(e), and one sigma_inv per
+        # in-window image (the graded test reuses the window test's answer);
+        # pass 2 skips the images that pass 1 paired, so of the 18,589
+        # elements of the X_e only 8 are inverted again: 7 whose preimage
+        # comes later in window order and 1 whose preimage is outside
+        assert images == 55_767 and preimages == 18_589
+        assert calls["in_window"] == images + 8 == 55_775
+        assert calls["sigma"] == images + 7 == 55_774
+        assert calls["sigma_inv"] == 18_596
         assert len(window) == 18_589 and len(rep.overflow_notes) == 37_180
         assert rep.axioms_1_to_4 and rep.graded
+
+
+class HoleInWindow(chen.PathEndingSystem):
+    """The enumeration lacks one in-window path, which sigma reaches."""
+
+    def enumerate(self, t):
+        hole = make_path(self.graph, "v", ["e", "e"])
+        return (p for p in super().enumerate(t) if p != hole)
+
+
+class StrayImage(chen.PathEndingSystem):
+    """On G6, sigma(f, x) is the path g.f: in the window, outside X_f, and
+    lacking from the enumeration, which holds the paths ending at v."""
+
+    def sigma(self, ref, x):
+        if ref == "f":
+            return make_path(self.graph, "w", ["g", "f"])
+        return super().sigma(ref, x)
+
+
+class WrongPreimage(chen.PathEndingSystem):
+    """sigma_inv sends e.e to the vertex: an inverse mismatch."""
+
+    def sigma_inv(self, ref, x):
+        return vertex_path("v") if len(x) == 2 else super().sigma_inv(ref, x)
+
+
+class PreimageOutOfRange(chen.PathEndingSystem):
+    """On G6, sigma_inv(f, x) is the path f, which starts outside
+    X_w = X_r(f) and which the enumeration lacks."""
+
+    def sigma_inv(self, ref, x):
+        if ref == "f":
+            return make_path(self.graph, "v", ["f"])
+        return super().sigma_inv(ref, x)
+
+
+class TwoEdgeFibers(chen.PathEndingSystem):
+    """On G6, the path g (in X_w) also claims X_f, whose source is v."""
+
+    def member_edge(self, x, ref):
+        if ref == "f" and x.steps == ("g",):
+            return True
+        return super().member_edge(x, ref)
+
+    def sigma_inv(self, ref, x):
+        return x.drop_first()
+
+
+class TestAxiomsOracle:
+    """check_axioms gives the per-call route's report, lists in order."""
+
+    @staticmethod
+    def same(sys, t):
+        rep = check_axioms(sys, t)
+        assert rep == axiomsoracle.check_axioms(sys, t)
+        return rep
+
+    @pytest.mark.parametrize("window", [(4, 2), (5, 3)])
+    def test_catalog_modules(self, window):
+        t = Truncation(*window)
+        for _, g, d in catalog_modules(CATALOG):
+            self.same(chen.build_module(g, d), t)
+
+    def test_naive_system(self):
+        rep = self.same(chen.NaivePairSystem(G1, "v"), Truncation(3, 1))
+        assert not rep.axiom4
+
+    def test_in_window_image_the_enumeration_lacks(self):
+        rep = self.same(HoleInWindow(G1, "v"), Truncation(3, 1))
+        assert rep.axiom3 and len(rep.overflow_notes) == 1
+
+    def test_stray_image(self):
+        rep = self.same(StrayImage(G6, "v"), Truncation(4, 1))
+        kinds = {w[2:] for k, w in rep.violations if k == "axiom3"}
+        assert kinds == {(), ("inverse composition",)}
+
+    def test_inverse_mismatch(self):
+        rep = self.same(WrongPreimage(G1, "v"), Truncation(3, 1))
+        kinds = [w[2:] for k, w in rep.violations if k == "axiom3"]
+        assert kinds == [("inverse mismatch",), ("inverse composition",)]
+
+    def test_inverse_range(self):
+        rep = self.same(PreimageOutOfRange(G6, "v"), Truncation(4, 1))
+        kinds = [w[2:] for k, w in rep.violations if k == "axiom3"]
+        assert kinds == [("inverse mismatch",), ("inverse range",)] * 2
+
+    def test_two_edge_fibers(self):
+        rep = self.same(TwoEdgeFibers(G6, "v"), Truncation(4, 1))
+        assert not rep.axiom1 and not rep.axiom2 and not rep.axiom3
 
 
 class TestAct:

@@ -871,6 +871,21 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, reason",
+    [("p:6", "6 is not prime"), ("p:" + "1" * 400, "prime fields need p < ")],
+)
+def test_field_spec_error_gives_the_reason(capsys, tmp_path, spec, reason):
+    path = tmp_path / "input.graph"
+    path.write_text(G3_TEXT)
+    code, _, err = run_cli(
+        capsys, "--field", spec, "act", str(path), "--module", "sink:w",
+        "--element", "u", "--basis", "w",
+    )
+    assert code == 2
+    assert err.startswith("input error: ") and reason in err and len(err) < 100
+
+
 # Declaration keywords and tokens of the text format, well formed or not.
 _GRAPH_WORDS = st.sampled_from([
     "vertex", "edge", "bundle", "cycle", "path", "pair", "widget", "v", "w",
