@@ -65,6 +65,10 @@ class BranchingSystem:
     def degree(self, x) -> Optional[int]:
         return None
 
+    def basis_element(self, m: Monomial, shift: int, t: Truncation):
+        """The basis element that the selector MONOMIAL[@SHIFT] names."""
+        raise InputError("this module family has no basis selectors")
+
     def edge_refs(self, t: Truncation) -> list:
         refs = []
         for v in self.graph.vertex_list:

@@ -193,6 +193,10 @@ class VAlphaModule:
     def vertex_support(self) -> frozenset:
         return self.tail.vertex_support
 
+    def system(self, g: Graph) -> BranchingSystem:
+        """The branching system of this descriptor, which is valid on g."""
+        return (RationalTailSystem if self.rational else IrrationalTailSystem)(g, self.tail)
+
     def label(self):
         return f"V[{self.tail}]"
 
@@ -201,13 +205,19 @@ class VAlphaModule:
 class SinkModule:
     v: str
 
+    @property
+    def vertex_support(self) -> frozenset:
+        return frozenset((self.v,))
+
+    def system(self, g: Graph) -> BranchingSystem:
+        return PathEndingSystem(g, self.v)
+
     def label(self):
         return f"N_{self.v} (sink)"
 
 
 @dataclass(frozen=True)
-class InfEmitterModule:
-    v: str
+class InfEmitterModule(SinkModule):  # paths ending at v, as for a sink
     subtype: str  # empty | in_B_H | infinite
 
     def label(self):
@@ -219,6 +229,13 @@ class InfEmitterModule:
 class NcModule:
     cycle: Cycle
     v: str
+
+    @property
+    def vertex_support(self) -> frozenset:
+        return self.cycle.vertex_set
+
+    def system(self, g: Graph) -> BranchingSystem:
+        return NcBranchingSystem(g, self.cycle, self.v)
 
     def label(self):
         return f"N_{self.cycle}^{self.v}"
@@ -285,9 +302,7 @@ def valpha_module(g: Graph, tail) -> VAlphaModule:
 def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
     if isinstance(d, NcModule):
         return nc_module(g, d.cycle, d.v)
-    if isinstance(d, SinkModule):
-        return sink_module(g, d.v)
-    if isinstance(d, InfEmitterModule):
+    if isinstance(d, InfEmitterModule):  # before SinkModule, its base class
         fresh = inf_emitter_module(g, d.v)
         if fresh.subtype != d.subtype:
             raise InputError(
@@ -295,6 +310,8 @@ def validate_module(g: Graph, d: ModuleDescriptor) -> ModuleDescriptor:
                 f"recomputed {fresh.subtype}"
             )
         return fresh
+    if isinstance(d, SinkModule):
+        return sink_module(g, d.v)
     if isinstance(d, VAlphaModule):
         return valpha_module(g, d.tail)
     raise InputError(f"not a module descriptor: {d!r}")
@@ -376,6 +393,9 @@ class NcBranchingSystem(BranchingSystem):
     def degree(self, x: ReducedPair) -> int:
         return x.degree
 
+    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> ReducedPair:
+        return red(self.graph, self.cycle, self.v, m.p, m.q)
+
 
 class PathEndingSystem(BranchingSystem):
     """Paths ending at a fixed vertex: the sink and infinite-emitter modules."""
@@ -410,6 +430,9 @@ class PathEndingSystem(BranchingSystem):
 
     def degree(self, x: Path) -> int:
         return len(x)
+
+    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> Path:
+        return m.p
 
 
 class RationalTailSystem(BranchingSystem):
@@ -454,6 +477,9 @@ class RationalTailSystem(BranchingSystem):
             return rational_tail(self.graph, x.prefix.drop_first(), x.cycle)
         nxt = self.graph.tgt(ref)
         return RationalTailSpec(vertex_path(nxt), x.cycle.rotate_to(nxt))
+
+    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> RationalTailSpec:
+        return rational_tail(self.graph, m.p, self.cycle)
 
 
 class TailElement:
@@ -555,6 +581,14 @@ class IrrationalTailSystem(BranchingSystem):
     def degree(self, x: TailElement) -> int:
         return len(x.q) - x.m
 
+    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> TailElement:
+        """m.p, then the rule path shifted; a shift past t walks no rule."""
+        if not 0 <= shift <= len(m.p) + t.max_path_length:  # reducing cancels <= len(p)
+            raise InputError(f"shift {shift} is outside the window")
+        if m.p.end != self._vertex_at(shift):
+            raise InputError(f"path ends at {m.p.end!r}, off the rule path at shift {shift}")
+        return self._canonical(m.p, shift)
+
 
 class NaivePair(_PathPair):
     """Formal p.q* pair without the shared-range requirement; the historical
@@ -609,14 +643,7 @@ class NaivePairSystem(BranchingSystem):
 
 def build_module(g: Graph, d: ModuleDescriptor) -> BranchingSystem:
     """Construct the branching system realizing a module descriptor."""
-    d = validate_module(g, d)
-    if isinstance(d, NcModule):
-        return NcBranchingSystem(g, d.cycle, d.v)
-    if isinstance(d, (SinkModule, InfEmitterModule)):
-        return PathEndingSystem(g, d.v)
-    if d.rational:  # validate_module admits no other kind than VAlphaModule
-        return RationalTailSystem(g, d.tail)
-    return IrrationalTailSystem(g, d.tail)
+    return validate_module(g, d).system(g)
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +658,7 @@ def annihilator(g: Graph, d: ModuleDescriptor):
 
 def _annihilator(g: Graph, d: ModuleDescriptor):
     """annihilator for a descriptor that is valid on g."""
-    if isinstance(d, NcModule):
-        support = d.cycle.vertex_set
-    elif isinstance(d, VAlphaModule):
-        support = d.vertex_support
-    else:  # a sink or an infinite emitter
-        support = [d.v]
-    H = g.vertices - root(g, support)
+    H = g.vertices - root(g, d.vertex_support)
     B = breaking_vertices(g, H)
     if isinstance(d, InfEmitterModule) and d.subtype == "in_B_H":
         return GradedIdeal(admissible_pair(g, H, B - {d.v}))
@@ -983,25 +1004,26 @@ class DistinctnessReport:
 
 def distinctness_report(g: Graph, d1: ModuleDescriptor, d2: ModuleDescriptor) -> DistinctnessReport:
     """Compare two module descriptors; isomorphism is decided only in the
-    proved cases, everything else reports not_decided."""
+    proved cases (different annihilators among them), everything else
+    reports not_decided."""
     d1 = validate_module(g, d1)
     d2 = validate_module(g, d2)
-    same_ann = _annihilator(g, d1) == _annihilator(g, d2)
-
+    if _annihilator(g, d1) != _annihilator(g, d2):  # an isomorphism invariant
+        return DistinctnessReport(False, "no", "no")
     if isinstance(d1, NcModule) and isinstance(d2, NcModule):
         if d1.cycle == d2.cycle:
             iso = "yes"
             graded = "yes" if d1.v == d2.v else "no"
         else:
             iso, graded = "no", "no"
-        return DistinctnessReport(same_ann, iso, graded)
+        return DistinctnessReport(True, iso, graded)
     if isinstance(d1, NcModule) != isinstance(d2, NcModule):
         # The cyclic module is graded simple but not simple; Chen modules are
         # simple, so no isomorphism either way.
-        return DistinctnessReport(same_ann, "no", "no")
+        return DistinctnessReport(True, "no", "no")
     kinds = {type(d1), type(d2)}
     if kinds == {VAlphaModule, InfEmitterModule}:
         emitter = d1 if isinstance(d1, InfEmitterModule) else d2
-        if emitter.subtype == "infinite" and same_ann:
-            return DistinctnessReport(same_ann, "no", "no")
-    return DistinctnessReport(same_ann, "not_decided", "not_decided")
+        if emitter.subtype == "infinite":
+            return DistinctnessReport(True, "no", "no")
+    return DistinctnessReport(True, "not_decided", "not_decided")

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .chen import (
-    InfEmitterModule,
     ModuleDescriptor,
     VAlphaModule,
     _annihilator,
@@ -325,7 +324,7 @@ def chen_witness(g: Graph, record: ClassificationRecord) -> ChenWitness:
     if case.case == "3b":
         v = case.v
         descriptor = sink_module(g, v) if g.is_sink(v) else inf_emitter_module(g, v)
-        if isinstance(descriptor, InfEmitterModule) and descriptor.subtype != "empty":
+        if not g.is_sink(v) and descriptor.subtype != "empty":
             raise InternalCheckError(
                 f"case-b emitter {v!r} has returns into the complement"
             )

@@ -27,9 +27,9 @@ from .graphio import (
     parse_graph_document,
     parse_monomial,
     parse_steps,
+    parse_vertex_set,
     to_dot,
 )
-from .graphs import rational_tail
 from .verification import check_annihilator, run_suites
 
 
@@ -47,17 +47,14 @@ def _resolve_pair(doc: GraphDocument, selector: str) -> idl.AdmissiblePair:
     if selector in doc.pairs:
         return doc.pairs[selector]
     text = selector.strip()
-    if text.startswith("{"):
-        try:
-            h_part, s_part = text.split("},{")
-            H = [t for t in h_part.lstrip("{").split(",") if t]
-            S = [t for t in s_part.rstrip("}").split(",") if t]
-        except ValueError as exc:
-            raise InputError(
-                f"bad pair selector {selector!r}; want name or '{{a,b}},{{c}}'"
-            ) from exc
-        return idl.admissible_pair(doc.graph, H, S)
-    raise InputError(f"unknown pair {selector!r}")
+    if not text.startswith("{"):
+        raise InputError(f"unknown pair {selector!r}")
+    halves = text.split("},{")
+    if len(halves) != 2:
+        raise InputError(f"bad pair selector {selector!r}; want name or '{{a,b}},{{c}}'")
+    H = parse_vertex_set(doc.graph, halves[0] + "}")
+    S = parse_vertex_set(doc.graph, "{" + halves[1])
+    return idl.admissible_pair(doc.graph, H, S)
 
 
 def _resolve_cycle(doc: GraphDocument, token: str):
@@ -104,44 +101,19 @@ def _resolve_module(doc: GraphDocument, spec: str) -> chen.ModuleDescriptor:
     raise InputError(f"unknown module selector {spec!r}")
 
 
-def _resolve_basis(doc: GraphDocument, descriptor, system, text: str, field, t):
-    """A basis-element selector for cmd_act, per module family.  A tail
-    shift beyond the window t is rejected before the rule is walked."""
-    g = doc.graph
-    if isinstance(descriptor, chen.NcModule):
-        m = parse_monomial(g, text, field)
-        return chen.red(g, descriptor.cycle, descriptor.v, m.p, m.q)
-    if isinstance(descriptor, (chen.SinkModule, chen.InfEmitterModule)):
-        m = parse_monomial(g, text, field)
-        if not m.q.is_vertex:
-            raise InputError("path-module basis elements have no ghost part")
-        return m.p
-    if isinstance(descriptor, chen.VAlphaModule):
-        if descriptor.rational:
-            m = parse_monomial(g, text, field)
-            if not m.q.is_vertex:
-                raise InputError("tail basis elements have no ghost part")
-            return rational_tail(g, m.p, descriptor.tail.cycle)
-        path_part, _, shift = text.partition("@")
-        m = parse_monomial(g, path_part, field)
-        if not m.q.is_vertex:
-            raise InputError("tail basis elements have no ghost part")
-        try:
-            shift_n = int(shift) if shift else 0
-        except ValueError as exc:
-            raise InputError(f"bad shift {shift!r} in tail selector") from exc
-        if shift_n < 0:
-            raise InputError("tail shifts are nonnegative")
-        if shift_n - len(m.p) > t.max_path_length:  # reducing cancels <= len(p)
-            raise InputError(f"shift {shift_n} is outside the window")
-        rule = descriptor.tail
-        if m.p.end != rule.vertex_at(shift_n):
-            raise InputError(
-                f"path ends at {m.p.end!r} but shift {shift_n} sits at "
-                f"{rule.vertex_at(shift_n)!r}"
-            )
-        return system._canonical(m.p, shift_n)
-    raise InputError("unsupported module family for basis selectors")
+def _resolve_basis(system, text: str, field, t):
+    """cmd_act's selector MONOMIAL[@SHIFT]: the grammar here, the element from the system."""
+    mono, at, shift = text.partition("@")
+    m = parse_monomial(system.graph, mono, field)
+    if not m.q.is_vertex and not isinstance(system, chen.NcBranchingSystem):
+        raise InputError("path and tail basis elements have no ghost part")
+    if at and not isinstance(system, chen.IrrationalTailSystem):
+        raise InputError("only irrational-tail basis elements take a @SHIFT")
+    try:
+        shift_n = int(shift) if shift else 0
+    except ValueError as exc:
+        raise InputError(f"bad shift {shift!r} in basis selector") from exc
+    return system.basis_element(m, shift_n, t)
 
 
 def _emit(report: dict, as_json: bool):
@@ -327,7 +299,7 @@ def cmd_act(args) -> int:
     if args.basis.strip() == "0":
         vec = ModuleVector(field)
     else:
-        x = _resolve_basis(doc, descriptor, system, args.basis, field, t)
+        x = _resolve_basis(system, args.basis, field, t)
         if not system.in_window(x, t):
             raise InputError(f"basis element {x} is outside the window")
         vec = ModuleVector.unit(x, field)
@@ -381,19 +353,8 @@ def cmd_verify(args) -> int:
     )
     failed = [r for r in results if not r.passed]
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "seed": args.seed,
-                    "checks": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                    "passed": not failed,
-                },
-                indent=2,
-            )
-        )
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        _emit({"seed": args.seed, "checks": checks, "passed": not failed}, True)
     else:
         for r in results:
             print(r.line())

@@ -86,7 +86,8 @@ def parse_cycle(g: Graph, text: str):
     return make_cycle(g, p.start, p.steps)
 
 
-def _parse_vertex_set(g: Graph, token: str) -> frozenset:
+def parse_vertex_set(g: Graph, token: str) -> frozenset:
+    """A vertex set of g written '{a,b}', as the pair declarations use it."""
     if not (token.startswith("{") and token.endswith("}")):
         raise InputError(f"expected a brace-delimited vertex set, got {token!r}")
     names = [t for t in token[1:-1].split(",") if t]
@@ -203,8 +204,8 @@ def parse_graph_document(text: str) -> GraphDocument:
                 if len(args) != 3:
                     raise InputError("pair takes: name {H} {S}")
                 name = _check_id(args[0])
-                H = _parse_vertex_set(doc.graph, args[1])
-                S = _parse_vertex_set(doc.graph, args[2])
+                H = parse_vertex_set(doc.graph, args[1])
+                S = parse_vertex_set(doc.graph, args[2])
                 doc.pairs[name] = admissible_pair(doc.graph, H, S)
     except InputError as exc:
         raise InputError(f"{where}: {exc}") from exc

@@ -296,9 +296,9 @@ def laurent(coeffs: dict) -> LaurentPolynomial:
     return LaurentPolynomial(shifted)
 
 
-def laurent_irreducible(f: LaurentPolynomial, assume_irreducible: bool = False):
-    """Irreducibility over Q[x, 1/x]: exact for degree <= 3, else requires the
-    explicit flag.  Units and unit monomials are never irreducible."""
+def laurent_irreducible(f: LaurentPolynomial):
+    """Irreducibility over Q[x, 1/x], decided exactly up to degree 3; a higher
+    degree raises InputError.  Units and unit monomials are never irreducible."""
     if f.is_unit_monomial:
         return False
     d = f.degree
@@ -318,12 +318,7 @@ def laurent_irreducible(f: LaurentPolynomial, assume_irreducible: bool = False):
                     if sum(k * r**n for n, k in f.coeffs) == 0:
                         return False
         return True
-    if assume_irreducible:
-        return True
-    raise InputError(
-        f"cannot decide irreducibility at degree {d} > 3; "
-        "construct the descriptor with assume_irreducible=True"
-    )
+    raise InputError(f"cannot decide irreducibility at degree {d} > 3")
 
 
 def _divisors(n: int):
@@ -353,7 +348,6 @@ class NonGradedPrimitiveIdeal:
     pair: AdmissiblePair
     cycle: Cycle
     poly: LaurentPolynomial
-    assume_irreducible: bool = False
 
     def label(self):
         return f"I{self.pair.label()} + <({self.poly})(c={self.cycle})>"
@@ -373,7 +367,7 @@ def validate_descriptor(g: Graph, d):
             raise InputError("the cycle must be exclusive")
         if root(g, d.cycle.vertex_set) != comp:
             raise InputError("need E^0 - H = R(c^0)")
-        if not laurent_irreducible(d.poly, d.assume_irreducible):
+        if not laurent_irreducible(d.poly):
             raise InputError("f must be irreducible and not a unit monomial")
         return d
     raise InputError(f"not an ideal descriptor: {d!r}")

@@ -223,6 +223,25 @@ class TestDescriptors:
             with pytest.raises(InputError):
                 chen.annihilator(g, chen.VAlphaModule(tail))
 
+    def test_non_descriptor_rejected(self):
+        for bad in (object(), "sink:w", None, chen.SinkModule):
+            for call in (chen.validate_module, chen.build_module, chen.annihilator):
+                with pytest.raises(InputError, match="not a module descriptor"):
+                    call(G2, bad)
+
+    def test_emitter_and_sink_descriptors_stay_apart(self):
+        # an emitter descriptor shares the sink's system, never its validation
+        assert chen.SinkModule("v") != chen.InfEmitterModule("v", "in_B_H")
+        assert chen.validate_module(G2, chen.InfEmitterModule("v", "in_B_H")) == (
+            chen.InfEmitterModule("v", "in_B_H")
+        )
+        for bad in (chen.SinkModule("v"), chen.InfEmitterModule("w", "empty")):
+            with pytest.raises(InputError):
+                chen.validate_module(G2, bad)
+        sink, emitter = chen.sink_module(G2, "w"), chen.inf_emitter_module(G2, "v")
+        assert type(chen.build_module(G2, sink)) is type(chen.build_module(G2, emitter))
+        assert (sink.vertex_support, emitter.vertex_support) == ({"w"}, {"v"})
+
     def test_cycle_vertices_must_match_edges(self):
         bogus = graphs.Cycle(graphs.Path(("v", "v", "v"), ("f", "g")))
         for call in (
@@ -707,10 +726,34 @@ class TestDistinctness:
         assert rep.same_annihilator and rep.isomorphic == "no"
 
     def test_undecided_cases(self):
+        # two irrational rules with one support: equal annihilators, no proof
+        c0, c1, c2 = enumerate_cycles(G4, 3)
+        d1 = chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1))
+        d2 = chen.valpha_module(G4, chen.irrational_rule(G4, c0, c2))
+        rep = chen.distinctness_report(G4, d1, d2)
+        assert rep.same_annihilator
+        assert rep.isomorphic == "not_decided"
+
+    def test_different_annihilators_are_not_isomorphic(self):
         d1 = chen.sink_module(G2, "w")
         d2 = chen.inf_emitter_module(G2, "v")
         rep = chen.distinctness_report(G2, d1, d2)
-        assert rep.isomorphic == "not_decided"
+        assert (rep.same_annihilator, rep.isomorphic, rep.graded_isomorphic) == (
+            False, "no", "no"
+        )
+
+    def test_no_catalog_pair_undecided(self):
+        modules = catalog_modules(CATALOG)
+        pairs = [
+            (g, d1, d2)
+            for (n1, g, d1), (n2, _, d2) in itertools.combinations(modules, 2)
+            if n1 == n2
+        ]
+        assert len(pairs) == 17
+        for g, d1, d2 in pairs:
+            rep = chen.distinctness_report(g, d1, d2)
+            assert rep.isomorphic != "not_decided", (d1.label(), d2.label())
+            assert rep.graded_isomorphic != "not_decided", (d1.label(), d2.label())
 
 
 class TestVAlphaSystems:

@@ -337,6 +337,14 @@ class TestIsPrimitive:
                 G1, idl.NonGradedPrimitiveIdeal(pair(G1, []), c, idl.laurent({3: 2}))
             )
 
+    def test_high_degree_poly_is_undecided(self):
+        # (x^2 - 1)^2 is reducible; past degree 3 nothing is taken on trust
+        (c,) = enumerate_cycles(G1)
+        d = idl.NonGradedPrimitiveIdeal(pair(G1, []), c, idl.laurent({0: 1, 2: -2, 4: 1}))
+        for call in (idl.validate_descriptor, cls.is_primitive):
+            with pytest.raises(InputError, match="degree 4 > 3"):
+                call(G1, d)
+
     def test_graded_descriptors(self):
         assert not cls.is_primitive(G1, idl.GradedIdeal(pair(G1, [])))
         assert not cls.is_primitive(G2, idl.GradedIdeal(pair(G2, ["w"], ["v"])))
@@ -390,7 +398,8 @@ class TestChenWitness:
     def test_g2_sink_witness(self):
         w = witness(G2, pair(G2, []))
         assert w.kind == "relative_sink"
-        assert isinstance(w.descriptor, chen.SinkModule)
+        # equality, not isinstance: an emitter descriptor is a SinkModule too
+        assert w.descriptor == chen.SinkModule("w")
 
     def test_emitter_relative_sink_witness(self):
         g = Graph(["a", "b"], bundles={"b0": ("a", "b")})

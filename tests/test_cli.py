@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leavitt import chen, cli
 from leavitt import classify as cls
-from leavitt import cli
 from leavitt.branching import AxiomReport, Truncation
 from leavitt.catalog import CATALOG, G2, G3, G4, random_graph
 from leavitt.errors import InputError
 from leavitt.fields import QQ, ModInt, PrimeField
-from leavitt.graphs import breaking_vertices, enumerate_paths, ref_str
+from leavitt.graphs import (
+    RationalTailSpec,
+    breaking_vertices,
+    enumerate_paths,
+    ref_str,
+    vertex_path,
+)
 from leavitt.graphio import (
     _tokenize,
     emit_graph,
@@ -706,6 +712,18 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
 
+    def test_json_text_is_json_dumps(self, capsys, monkeypatch):
+        results = [
+            verification.CheckResult("kept", True, ""),
+            verification.CheckResult("doomed", False, "G2 {w},{v}: \"quoted\" é"),
+        ]
+        monkeypatch.setattr(cli, "run_suites", lambda **kwargs: results)
+        code, out, _ = run_cli(capsys, "--json", "verify", "--catalog", "--seed", "4")
+        assert code == 1
+        checks = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        want = {"seed": 4, "checks": checks, "passed": False}
+        assert out == json.dumps(want, indent=2) + "\n"
+
     def test_check_names_pinned(self):
         # The benchmark's verify ops digest these names, so a renamed, added
         # or dropped check changes every one of them.
@@ -842,6 +860,53 @@ MALFORMED = {
         G3_TEXT,
         ["act", "FILE", "--module", "emitter:zz", "--element", "u", "--basis", "u"],
     ),
+    "classify pair with an unclosed S brace": (
+        G2_TEXT, ["classify", "FILE", "--pair", "{w},{v"]
+    ),
+    "classify pair with an empty unclosed S brace": (
+        G2_TEXT, ["classify", "FILE", "--pair", "{w},{"]
+    ),
+    "quotient pair with an unclosed S brace": (
+        G2_TEXT, ["quotient", "FILE", "--pair", "{w},{v"]
+    ),
+    "classify pair with an unclosed H brace": (
+        G2_TEXT, ["classify", "FILE", "--pair", "{w,{v}"]
+    ),
+    "act ghost part on a sink module": (
+        G2_TEXT, ["act", "FILE", "--module", "sink:w", "--element", "w", "--basis", "b[0]*"]
+    ),
+    "act ghost part on an emitter module": (
+        G2_TEXT, ["act", "FILE", "--module", "emitter:v", "--element", "v", "--basis", "c*"]
+    ),
+    "act ghost part on a rational tail": (
+        G2_TEXT,
+        ["act", "FILE", "--module", "valpha:rat:@v:c", "--element", "v", "--basis", "c*"],
+    ),
+    "act ghost part on an irrational tail": (
+        G4_TEXT,
+        ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
+         "--basis", "b[0]*@0"],
+    ),
+    "act shift on an N_c module": (
+        G2_TEXT, ["act", "FILE", "--module", "nc:c@v", "--element", "v", "--basis", "v@0"]
+    ),
+    "act shift on a sink module": (
+        G2_TEXT, ["act", "FILE", "--module", "sink:w", "--element", "w", "--basis", "w@1"]
+    ),
+    "act shift on a rational tail": (
+        G2_TEXT,
+        ["act", "FILE", "--module", "valpha:rat:@v:c", "--element", "v", "--basis", "v@1"],
+    ),
+    "act negative shift on an irrational tail": (
+        G4_TEXT,
+        ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
+         "--basis", "v@-1"],
+    ),
+    "act shift of 5000 digits": (
+        G4_TEXT,
+        ["act", "FILE", "--module", "valpha:irr:b[0]:b[1]", "--element", "v",
+         "--basis", "v@" + "1" * 5000],
+    ),
     "field of 400 digits": (
         G3_TEXT,
         ["--field", "p:" + "1" * 400, "act", "FILE", "--module", "sink:w",
@@ -965,3 +1030,27 @@ class TestTokenizerOracle:
     @given(st.text(max_size=20) | _ELEMENT)
     def test_one_scan_matches_on_any_text(self, text):
         assert _tokens(_tokenize, text) == _tokens(tokenize_oracle, text)
+
+
+def _selector(x) -> str:
+    """The --basis text naming a window element: its path, or its pair p q*,
+    as ``Monomial.__str__`` spells it, and ``@m`` for an irrational tail."""
+    if isinstance(x, chen.ReducedPair):
+        return str(alg.Monomial(x.p, x.q))
+    if isinstance(x, chen.TailElement):
+        return f"{alg.Monomial(x.q, vertex_path(x.q.end))}@{x.m}"
+    p = x.prefix if isinstance(x, RationalTailSpec) else x
+    return str(alg.Monomial(p, vertex_path(p.end)))
+
+
+def test_basis_selectors_round_trip_catalog_modules():
+    t = Truncation(4, 2)
+    rng = random.Random(0)
+    modules = verification.catalog_modules(CATALOG)
+    assert len(modules) == 16
+    for name, g, d in modules:
+        system = chen.build_module(g, d)
+        window = list(system.enumerate(t))
+        for x in rng.sample(window, min(len(window), 40)):
+            text = _selector(x)
+            assert cli._resolve_basis(system, text, QQ, t) == x, (name, d.label(), text)

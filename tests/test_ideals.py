@@ -641,7 +641,6 @@ class TestLaurent:
         f = idl.laurent({0: 1, 4: 1})
         with pytest.raises(InputError):
             idl.laurent_irreducible(f)
-        assert idl.laurent_irreducible(f, assume_irreducible=True)
 
 
 class TestDescriptors:
