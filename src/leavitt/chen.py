@@ -1,19 +1,23 @@
 """Concrete graded module families over a Leavitt path algebra.
 
-Five branching-system families live here: infinite-path modules (rational
-and irrational tails), sink modules, the three infinite-emitter module
-subtypes, and the cyclic modules N_c built from an exclusive cycle via the
-reduction calculus on pairs p.q* whose ghost part runs inside the cycle.
-Each family knows its exact annihilator as an admissible pair (or, for a
-rational tail ending in an exclusive cycle, a non-graded descriptor); the
-branching engine verifies those formulas on bounded windows.
+Four branching-system families live here, each a finite path followed by
+a fixed tail word: sink and infinite-emitter modules (paths ending at v,
+the empty word), infinite-path modules with a rational tail (c read modulo
+its length) or an irrational tail (two cycles interleaved), and the cyclic
+modules N_c of an exclusive cycle, whose reduced pairs p.q* glue a path to
+a ghost walk around the cycle.  ``_TailSystem`` holds their fiber, sigma,
+window, degree and enumeration rules once.  Each family knows its exact
+annihilator as an admissible pair (or, for a rational tail ending in an
+exclusive cycle, a non-graded descriptor); the branching engine verifies
+those formulas on bounded windows.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import algebra as alg
 from .branching import BranchingSystem, ModuleVector, Truncation, _add_term, act
@@ -345,138 +349,168 @@ def _paths_by_end(g: Graph, t: Truncation, ends) -> dict:
     return out
 
 
-class NcBranchingSystem(BranchingSystem):
-    """Reduced pairs p.q* with the reduction-twisted prepend action."""
+class _TailSystem(BranchingSystem):
+    """The body shared by the four families here: a basis element is a
+    finite path p followed by a fixed tail word w read from position m, the
+    path p w_{m+1} w_{m+2} ...  In canonical form m is 0 or p's last step
+    is not w_m, so each path of the module is one element.
+
+    A family gives its word, read from ``start``, and maps its elements to
+    and from (p, m) by ``_split`` and ``_join``.  A finite word ends its
+    positions; a periodic word (``period`` > 0) is read modulo its length,
+    at positions 1 to period, as such a tail carries no grading.
+
+    An edge acts by prepending.  A canonical p with a step keeps that last
+    step, so prepending never cancels; a bare tail at m cancels only w_m,
+    and then moves to m - 1.  sigma_inv drops p's first step or moves a
+    bare tail to m + 1, and so never strips either.
+    """
 
     graded = True
 
-    def __init__(self, g: Graph, cycle: Cycle, v: str):
+    def __init__(self, g: Graph, start: str, word: Iterable, period: int = 0):
         self.graph = g
+        self._start = start
+        self._word = iter(word)
+        self._edges = [None]  # _edges[i] = w_i, as far as asked; None past a finite word
+        self._period = period
+
+    def _edge_at(self, i: int):
+        """w_i, read once per system off one pass of the word."""
+        if i < 1:
+            raise InputError("edge positions are 1-indexed")
+        edges = self._edges
+        while len(edges) <= i:
+            edges.append(next(self._word, None))
+        return edges[i]
+
+    def _vertex_at(self, m: int) -> str:
+        """Where the tail starts after m edges of the word."""
+        return self.graph.tgt(self._edge_at(m)) if m else self._start
+
+    def _canonical(self, p: Path, m: int):
+        """The element of p w_{m+1} w_{m+2} ...: strip p's last step while it is w_m."""
+        while m >= 1 and p.steps and p.steps[-1] == self._edge_at(m):
+            p = p.drop_last()
+            m -= 1
+        return self._join(p, m)
+
+    def enumerate(self, t: Truncation):
+        if self._period:  # one position per residue, in their anchors' order
+            positions = sorted(range(1, self._period + 1), key=self._vertex_at)
+        else:  # 0 to the window's length, as far as the word goes
+            positions = [
+                m for m in range(t.max_path_length + 1) if not m or self._edge_at(m) is not None
+            ]
+        anchors = [self._vertex_at(m) for m in positions]
+        paths = _paths_by_end(self.graph, t, anchors)
+        for m, anchor in zip(positions, anchors):
+            last = self._edge_at(m) if m else None
+            for p in paths[anchor]:
+                if not (p.steps and p.steps[-1] == last):
+                    yield self._join(p, m)
+
+    def in_window(self, x, t: Truncation) -> bool:
+        p, m = self._split(x)
+        return (self._period or m <= t.max_path_length) and _fits(p, t)
+
+    def member_vertex(self, x, v: str) -> bool:
+        return self._split(x)[0].start == v
+
+    def member_edge(self, x, ref) -> bool:
+        p, m = self._split(x)
+        if p.steps:
+            return p.steps[0] == ref
+        return self._edge_at(m + 1) == ref
+
+    def sigma(self, ref, x):
+        p, m = self._split(x)
+        step = _edge_path(self.graph, ref)
+        if m and not p.steps and ref == self._edge_at(m):
+            return self._join(vertex_path(step.start), m - 1)
+        return self._join(step.concat(p), m)
+
+    def sigma_inv(self, ref, x):
+        p, m = self._split(x)
+        if p.steps:
+            if p.steps[0] == ref:
+                return self._join(p.drop_first(), m)
+        elif ref == self._edge_at(m + 1):
+            return self._join(vertex_path(self.graph.tgt(ref)), m + 1)
+        raise InputError("element is not in this edge fiber")
+
+    def degree(self, x) -> Optional[int]:
+        if not self.graded:
+            return None
+        p, m = self._split(x)
+        return len(p.steps) - m
+
+
+class PathEndingSystem(_TailSystem):
+    """Paths ending at a fixed vertex: the sink and infinite-emitter modules.
+    The word is empty, so an element is its own prefix at position 0."""
+
+    def __init__(self, g: Graph, v: str):
+        super().__init__(g, v, ())
+        self.v = v
+
+    def _split(self, x: Path) -> tuple:
+        return x, 0
+
+    def _join(self, p: Path, m: int) -> Path:
+        return p
+
+    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> Path:
+        if m.p.end != self.v:
+            raise InputError(f"path ends at {m.p.end!r}, not at {self.v!r}")
+        return m.p
+
+
+class NcBranchingSystem(_TailSystem):
+    """Reduced pairs p.q* with the reduction-twisted prepend action: the word
+    runs around the cycle from v, and q is its first m edges."""
+
+    def __init__(self, g: Graph, cycle: Cycle, v: str):
         self.cycle = cycle.canonical()
         self.v = v
-        self._cycle_edges = set(self.cycle.steps)
+        super().__init__(g, v, itertools.cycle(self.cycle.rotate_to(v).steps))
+        self._ghosts = [vertex_path(v)]  # _ghosts[m] = w_1 ... w_m, as far as asked
+
+    def _split(self, x: ReducedPair) -> tuple:
+        return x.p, len(x.q.steps)
+
+    def _join(self, p: Path, m: int) -> ReducedPair:
+        ghosts = self._ghosts
+        while len(ghosts) <= m:
+            ghosts.append(ghosts[-1].concat(_edge_path(self.graph, self._edge_at(len(ghosts)))))
+        return ReducedPair(p, ghosts[m])
 
     def basis_vertex(self) -> ReducedPair:
         return ReducedPair(vertex_path(self.v), vertex_path(self.v))
-
-    def enumerate(self, t: Truncation):
-        for p, q in _windowed_pairs(self.graph, NcModule(self.cycle, self.v), t):
-            if p.steps and q.steps and p.steps[-1] == q.steps[-1]:
-                continue
-            yield ReducedPair(p, q)
-
-    def in_window(self, x: ReducedPair, t: Truncation) -> bool:
-        return len(x.q) <= t.max_path_length and _fits(x.p, t)
-
-    def member_vertex(self, x: ReducedPair, v: str) -> bool:
-        return x.p.start == v
-
-    def member_edge(self, x: ReducedPair, ref) -> bool:
-        if ref in self._cycle_edges:
-            return x.p.start == self.graph.src(ref)
-        return bool(x.p.steps) and x.p.steps[0] == ref
-
-    def sigma(self, ref, x: ReducedPair) -> ReducedPair:
-        return _strip(_edge_path(self.graph, ref).concat(x.p), x.q)
-
-    def sigma_inv(self, ref, x: ReducedPair) -> ReducedPair:
-        if x.p.steps:
-            if x.p.steps[0] != ref:
-                raise InputError("element is not in this edge fiber")
-            return _strip(x.p.drop_first(), x.q)
-        # pure ghost q*: only the cycle edge at r(q) acts, growing the ghost
-        if ref not in self._cycle_edges or self.graph.src(ref) != x.q.end:
-            raise InputError("element is not in this edge fiber")
-        step = _edge_path(self.graph, ref)
-        return ReducedPair(vertex_path(step.end), x.q.concat(step))
-
-    def degree(self, x: ReducedPair) -> int:
-        return x.degree
 
     def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> ReducedPair:
         return red(self.graph, self.cycle, self.v, m.p, m.q)
 
 
-class PathEndingSystem(BranchingSystem):
-    """Paths ending at a fixed vertex: the sink and infinite-emitter modules."""
-
-    graded = True
-
-    def __init__(self, g: Graph, v: str):
-        self.graph = g
-        self.v = v
-
-    def enumerate(self, t: Truncation):
-        yield from enumerate_paths(
-            self.graph, t.max_path_length, t.bundle_sample, end=self.v
-        )
-
-    def in_window(self, x: Path, t: Truncation) -> bool:
-        return _fits(x, t)
-
-    def member_vertex(self, x: Path, v: str) -> bool:
-        return x.start == v
-
-    def member_edge(self, x: Path, ref) -> bool:
-        return bool(x.steps) and x.steps[0] == ref
-
-    def sigma(self, ref, x: Path) -> Path:
-        return _edge_path(self.graph, ref).concat(x)
-
-    def sigma_inv(self, ref, x: Path) -> Path:
-        if not x.steps or x.steps[0] != ref:
-            raise InputError("element is not in this edge fiber")
-        return x.drop_first()
-
-    def degree(self, x: Path) -> int:
-        return len(x)
-
-    def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> Path:
-        return m.p
-
-
-class RationalTailSystem(BranchingSystem):
+class RationalTailSystem(_TailSystem):
     """Paths tail-equivalent to c^infinity, in canonical (prefix, rotation)
-    form.  A branching system but not graded."""
+    form: the word is c read modulo its length, and the rotation to the
+    vertex after m edges is position m.  A branching system but not graded."""
 
     graded = False
 
     def __init__(self, g: Graph, spec: RationalTailSpec):
-        self.graph = g
         self.spec = spec
-        self.cycle = spec.cycle
+        self.cycle = c = spec.cycle
+        super().__init__(g, c.base, itertools.cycle(c.steps), period=len(c))
+        self._rotations = [c.rotate_to(v) for v in c.sources]  # by position mod len(c)
+        self._positions = {v: m or len(c) for m, v in enumerate(c.sources)}  # 1 to len(c)
 
-    def enumerate(self, t: Truncation):
-        anchors = sorted(self.cycle.vertex_set)
-        paths = _paths_by_end(self.graph, t, anchors)
-        for w in anchors:
-            cyc_w = self.cycle.rotate_to(w)
-            entering = cyc_w.edge_into(w)
-            for p in paths[w]:
-                if p.steps and p.steps[-1] == entering:
-                    continue
-                yield RationalTailSpec(p, cyc_w)
+    def _split(self, x: RationalTailSpec) -> tuple:
+        return x.prefix, self._positions[x.cycle.base]
 
-    def in_window(self, x: RationalTailSpec, t: Truncation) -> bool:
-        return _fits(x.prefix, t)
-
-    def member_vertex(self, x: RationalTailSpec, v: str) -> bool:
-        return x.prefix.start == v
-
-    def member_edge(self, x: RationalTailSpec, ref) -> bool:
-        return x.first_edge() == ref
-
-    def sigma(self, ref, x: RationalTailSpec) -> RationalTailSpec:
-        step = _edge_path(self.graph, ref)
-        return rational_tail(self.graph, step.concat(x.prefix), x.cycle)
-
-    def sigma_inv(self, ref, x: RationalTailSpec) -> RationalTailSpec:
-        if x.first_edge() != ref:
-            raise InputError("element is not in this edge fiber")
-        if x.prefix.steps:
-            return rational_tail(self.graph, x.prefix.drop_first(), x.cycle)
-        nxt = self.graph.tgt(ref)
-        return RationalTailSpec(vertex_path(nxt), x.cycle.rotate_to(nxt))
+    def _join(self, p: Path, m: int) -> RationalTailSpec:
+        return RationalTailSpec(p, self._rotations[m % self._period])
 
     def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> RationalTailSpec:
         return rational_tail(self.graph, m.p, self.cycle)
@@ -520,66 +554,19 @@ class TailElement:
         return base if self.q.is_vertex else f"{self.q}.{base}"
 
 
-class IrrationalTailSystem(BranchingSystem):
-    graded = True
+class IrrationalTailSystem(_TailSystem):
+    """Paths tail-equivalent to an irrational rule path: the word is the
+    rule's, from its pivot."""
 
     def __init__(self, g: Graph, rule: IrrationalRule):
-        self.graph = g
         self.rule = rule
-        self._edges = [None]  # _edges[i] = rule.edge_at(i), as far as asked
-        self._word = rule.edge_word()
+        super().__init__(g, rule.pivot, rule.edge_word())
 
-    def _edge_at(self, i: int):
-        """rule.edge_at(i), read once per system off one pass of the word."""
-        edges = self._edges
-        if i < 1:
-            return self.rule.edge_at(i)  # which raises: positions start at 1
-        while len(edges) <= i:
-            edges.append(next(self._word))
-        return edges[i]
+    def _split(self, x: TailElement) -> tuple:
+        return x.q, x.m
 
-    def _vertex_at(self, m: int) -> str:
-        """rule.vertex_at(m) for m >= 0: the source of edge m + 1."""
-        return self.graph.src(self._edge_at(m + 1))
-
-    def _canonical(self, q: Path, m: int) -> TailElement:
-        while m >= 1 and q.steps and q.steps[-1] == self._edge_at(m):
-            q = q.drop_last()
-            m -= 1
-        return TailElement(q, m)
-
-    def enumerate(self, t: Truncation):
-        anchors = [self._vertex_at(m) for m in range(t.max_path_length + 1)]
-        paths = _paths_by_end(self.graph, t, anchors)
-        for m, anchor in enumerate(anchors):
-            for q in paths[anchor]:
-                if m >= 1 and q.steps and q.steps[-1] == self._edge_at(m):
-                    continue
-                yield TailElement(q, m)
-
-    def in_window(self, x: TailElement, t: Truncation) -> bool:
-        return x.m <= t.max_path_length and _fits(x.q, t)
-
-    def member_vertex(self, x: TailElement, v: str) -> bool:
-        return x.q.start == v
-
-    def member_edge(self, x: TailElement, ref) -> bool:
-        if x.q.steps:
-            return x.q.steps[0] == ref
-        return self._edge_at(x.m + 1) == ref
-
-    def sigma(self, ref, x: TailElement) -> TailElement:
-        return self._canonical(_edge_path(self.graph, ref).concat(x.q), x.m)
-
-    def sigma_inv(self, ref, x: TailElement) -> TailElement:
-        if not self.member_edge(x, ref):
-            raise InputError("element is not in this edge fiber")
-        if x.q.steps:
-            return self._canonical(x.q.drop_first(), x.m)
-        return TailElement(vertex_path(self._vertex_at(x.m + 1)), x.m + 1)
-
-    def degree(self, x: TailElement) -> int:
-        return len(x.q) - x.m
+    def _join(self, p: Path, m: int) -> TailElement:
+        return TailElement(p, m)
 
     def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> TailElement:
         """m.p, then the rule path shifted; a shift past t walks no rule."""

@@ -380,9 +380,6 @@ class Cycle:
     def canonical(self) -> "Cycle":
         return self.rotate_to(min(self.sources))
 
-    def edge_from(self, v: str) -> EdgeRef:
-        return self.steps[self.sources.index(v)]
-
     def edge_into(self, v: str) -> EdgeRef:
         return self.steps[self.sources.index(v) - 1]
 
@@ -485,11 +482,6 @@ class RationalTailSpec:
     @property
     def vertex_support(self) -> frozenset:
         return frozenset(self.prefix.vertices) | self.cycle.vertex_set
-
-    def first_edge(self) -> EdgeRef:
-        if self.prefix.steps:
-            return self.prefix.steps[0]
-        return self.cycle.edge_from(self.cycle.base)
 
     def __str__(self):
         return f"{self.prefix}({self.cycle})^inf"

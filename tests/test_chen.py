@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from leavitt.graphs import (
 )
 from leavitt.ideals import GradedIdeal, NonGradedPrimitiveIdeal, admissible_pair
 from leavitt.verification import catalog_modules
+import systemsoracle
 from valueobjects import check_value_object
 
 T = Truncation(5, 2)
@@ -798,3 +800,86 @@ class TestVAlphaSystems:
         assert len(elems) == len(set(elems))
         for x in elems:
             assert sys._canonical(x.q, x.m) == x
+
+
+FAMILIES = (
+    chen.PathEndingSystem,
+    chen.NcBranchingSystem,
+    chen.RationalTailSystem,
+    chen.IrrationalTailSystem,
+)
+RULES = ("enumerate", "in_window", "member_vertex", "member_edge", "sigma", "sigma_inv", "degree")
+
+
+class TestTailSystem:
+    """One body holds the rules of the four families; the per-family
+    systems it replaced, in ``systemsoracle``, are its oracle."""
+
+    def test_families_define_no_rules(self):
+        for cls in FAMILIES:
+            assert not set(RULES) & set(vars(cls)), cls
+
+    # (1, 1) is shorter than some rational tails' cycles
+    @pytest.mark.parametrize("window", [(1, 1), (4, 2), (5, 3)])
+    def test_answers_match_the_per_family_systems(self, window):
+        t = Truncation(*window)
+        seen = set()
+        for _, g, d in catalog_modules(CATALOG):
+            new = chen.build_module(g, d)
+            old = systemsoracle.old_system(new)
+            seen.add(type(new))
+            elements = list(new.enumerate(t))
+            assert elements == list(old.enumerate(t)), d
+            refs = new.edge_refs(t)
+            for x in elements:
+                assert new.in_window(x, t) == old.in_window(x, t), x
+                assert new.degree(x) == old.degree(x), x
+                for v in g.vertex_list:
+                    assert new.member_vertex(x, v) == old.member_vertex(x, v), (x, v)
+                for e in refs:
+                    assert new.member_edge(x, e) == old.member_edge(x, e), (x, e)
+                    if old.member_vertex(x, g.tgt(e)):
+                        assert new.sigma(e, x) == old.sigma(e, x), (x, e)
+                    if old.member_edge(x, e):
+                        assert new.sigma_inv(e, x) == old.sigma_inv(e, x), (x, e)
+                    else:
+                        for system in (new, old):
+                            with pytest.raises(InputError):
+                                system.sigma_inv(e, x)
+        assert seen == set(FAMILIES)
+
+    def test_axiom_reports_match_the_per_family_systems(self):
+        t = Truncation(7, 3)
+        for _, g, d in catalog_modules(CATALOG):
+            new = chen.build_module(g, d)
+            assert check_axioms(new, t) == check_axioms(systemsoracle.old_system(new), t), d
+
+    def test_sigma_and_sigma_inv_strip_nothing(self, monkeypatch):
+        # prepending to a canonical element cancels at most a bare tail's
+        # w_m, and sigma_inv knows its fiber from the element alone
+        c0, c1 = enumerate_cycles(G4, 2)
+        sys = chen.build_module(G4, chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1)))
+        calls = Counter()
+        inside = []
+        canonical, member_edge, sigma_inv = sys._canonical, sys.member_edge, sys.sigma_inv
+
+        def counted_member_edge(*a):
+            if inside:
+                calls.update(["member_edge in sigma_inv"])
+            return member_edge(*a)
+
+        def counted_sigma_inv(*a):
+            inside.append(a)
+            try:
+                return sigma_inv(*a)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(
+            sys, "_canonical", lambda *a: calls.update(["_canonical"]) or canonical(*a)
+        )
+        monkeypatch.setattr(sys, "member_edge", counted_member_edge)
+        monkeypatch.setattr(sys, "sigma_inv", counted_sigma_inv)
+        rep = check_axioms(sys, Truncation(7, 3))
+        assert rep.axioms_1_to_4 and rep.graded
+        assert calls == Counter()

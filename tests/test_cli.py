@@ -593,6 +593,17 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["result"] == "b[0]"
 
+    @pytest.mark.parametrize(
+        "module, basis, end",
+        [("sink:w", "v", "v"), ("emitter:v", "b[0]", "w")],
+    )
+    def test_path_module_basis_must_end_at_its_vertex(self, capsys, g2_file, module, basis, end):
+        code, out, err = run_cli(
+            capsys, "act", g2_file, "--module", module, "--element", "v", "--basis", basis,
+        )
+        assert code == 2 and not out
+        assert err.startswith("input error: ") and f"path ends at {end!r}" in err
+
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("# no vertices\n")
