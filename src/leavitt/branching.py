@@ -3,9 +3,10 @@
 A branching system partitions a basis set into vertex fibers X_v and edge
 fibers X_e with bijections sigma_e from X_{r(e)} onto X_e.  Concrete systems
 own their (usually infinite) basis; the engine sees them through a bounded
-enumeration window plus membership oracles, so every check here is a sound
-bounded verifier: violations come with witnesses, and any action step that
-would leave the window raises instead of silently truncating.
+enumeration window plus oracles on values, to which it converts each element
+once, so every check here is a sound bounded verifier: violations come with
+witness elements, and any action step that would leave the window raises
+instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -36,9 +37,12 @@ class Truncation:
 class BranchingSystem:
     """Base class; concrete systems implement the oracle surface.
 
-    Basis elements are opaque hashable values.  ``sigma``/``sigma_inv`` are
-    total on their mathematical domains and may return elements outside any
-    window; the engine checks windows separately via ``in_window``.
+    ``enumerate`` yields basis elements; the other oracles take and return
+    values, hashable and equal exactly when their elements are: ``value``
+    maps an element to its value and ``element`` back, by default both the
+    identity.  ``sigma``/``sigma_inv`` are total on their mathematical
+    domains and may return values outside any window; the engine checks
+    windows separately via ``in_window``.
     """
 
     graph: Graph
@@ -46,6 +50,12 @@ class BranchingSystem:
 
     def enumerate(self, t: Truncation) -> Iterator:
         raise NotImplementedError
+
+    def value(self, x):
+        return x
+
+    def element(self, x):
+        return x
 
     def in_window(self, x, t: Truncation) -> bool:
         raise NotImplementedError
@@ -135,7 +145,7 @@ class ModuleVector:
         return ModuleVector(self.field, {x: c * k for x, c in self.terms.items()})
 
     def degrees(self, sys: BranchingSystem) -> set:
-        return {sys.degree(x) for x in self.terms}
+        return {sys.degree(sys.value(x)) for x in self.terms}
 
     def is_homogeneous(self, sys: BranchingSystem) -> bool:
         return len(self.degrees(sys)) <= 1
@@ -182,18 +192,20 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
     """Evaluate axioms (1)-(4), perfect, saturated, and gradedness on the
     window.  Violations carry the witness basis element.
 
-    Each element's fibers are asked once; the per-ref checks read them as
-    flags.  Per edge ref e, in window order, x in X_r(e) maps forward to
-    y = sigma(e, x) and back; a round trip that closes marks y paired, and
-    the backward check at a paired y is skipped, as it would ask the same
-    questions again.  Elements the enumeration yields are taken to lie in
-    the window."""
+    Each element's value, fibers and degree are asked once; the per-ref
+    checks read them by position.  Per edge ref e, in window order, x in
+    X_r(e) maps forward to y = sigma(e, x) and back; a round trip that
+    closes marks y paired, and the backward check at a paired y is skipped,
+    as it would ask the same questions again.  Elements the enumeration
+    yields are taken to lie in the window, and are the witnesses."""
     report = AxiomReport()
-    index = {}  # element -> position in window order
-    for x in sys.enumerate(t):
-        if x in index:
+    elements = list(sys.enumerate(t))
+    index = {}  # value -> position in window order
+    for x in elements:
+        y = sys.value(x)
+        if y in index:
             raise MalformedSystem(f"duplicate basis element {x!r}")
-        index[x] = len(index)
+        index[y] = len(index)
     n = len(index)
 
     refs = sys.edge_refs(t)
@@ -205,28 +217,29 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
     for i, x in enumerate(index):
         vs = [v for v in g.vertex_list if member_vertex(x, v)]
         if len(vs) > 1:
-            report.note("axiom1", (x, vs))
+            report.note("axiom1", (elements[i], vs))
         es = [e for e in refs if member_edge(x, e)]
         if len(es) > 1:
-            report.note("axiom1", (x, es))
+            report.note("axiom1", (elements[i], es))
         for v in vs:
             at_vertex[v][i] = 1
         for e in es:
             at_edge[e][i] = 1
             if g.src(e) not in vs:
-                report.note("axiom2", (x, e))
+                report.note("axiom2", (elements[i], e))
         if not vs:
-            report.note("saturated", x)
+            report.note("saturated", elements[i])
         # Axiom (4) and perfectness: fiber coverage at emitting vertices.
         if vs and not es:
             v = vs[0]
             if g.is_regular(v):
-                report.note("axiom4", x)
+                report.note("axiom4", elements[i])
             elif g.is_infinite_emitter(v):
-                report.note("perfect", x)
+                report.note("perfect", elements[i])
 
     sigma, sigma_inv, in_window = sys.sigma, sys.sigma_inv, sys.in_window
     degree = sys.degree if sys.graded else None
+    degrees = list(map(degree, index)) if degree else None
     overflow = report.overflow_notes
     for e in refs:
         rv = g.tgt(e)
@@ -238,25 +251,25 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
                 if in_window(y, t):
                     j = index.get(y)
                     if not (member_edge(y, e) if j is None else at_e[j]):
-                        report.note("axiom3", (x, e))
+                        report.note("axiom3", (elements[i], e))
                     elif sigma_inv(e, y) != x:
-                        report.note("axiom3", (x, e, "inverse mismatch"))
+                        report.note("axiom3", (elements[i], e, "inverse mismatch"))
                     elif j is not None:
                         paired[j] = 1
-                    if degree is not None and degree(y) != degree(x) + 1:
-                        report.note("graded", (x, e))
+                    if degree and (degree(y) if j is None else degrees[j]) != degrees[i] + 1:
+                        report.note("graded", (elements[i], e))
                 else:
-                    overflow.append((e, x))
+                    overflow.append((e, elements[i]))
             if at_e[i] and not paired[i]:
                 x2 = sigma_inv(e, x)
                 if in_window(x2, t):
                     k = index.get(x2)
                     if not (member_vertex(x2, rv) if k is None else at_r[k]):
-                        report.note("axiom3", (x, e, "inverse range"))
+                        report.note("axiom3", (elements[i], e, "inverse range"))
                     elif sigma(e, x2) != x:
-                        report.note("axiom3", (x, e, "inverse composition"))
+                        report.note("axiom3", (elements[i], e, "inverse composition"))
                 else:
-                    overflow.append((e, x))
+                    overflow.append((e, elements[i]))
 
     if not sys.graded:
         report.graded = False
@@ -269,7 +282,7 @@ def check_axioms(sys: BranchingSystem, t: Truncation) -> AxiomReport:
 
 
 def _act_monomial(sys: BranchingSystem, m: Monomial, x, t: Truncation):
-    """Apply p q* to a basis element via the generator table; None means 0."""
+    """Apply p q* to a basis value via the generator table; None means 0."""
     g = sys.graph
     y = x
     if m.q.is_vertex:
@@ -281,7 +294,7 @@ def _act_monomial(sys: BranchingSystem, m: Monomial, x, t: Truncation):
                 return None
             y = sys.sigma_inv(ref, y)
             if not sys.in_window(y, t):
-                raise WindowOverflow(y)
+                raise WindowOverflow(sys.element(y))
     if m.p.is_vertex:
         if not sys.member_vertex(y, m.p.start):
             return None
@@ -291,7 +304,7 @@ def _act_monomial(sys: BranchingSystem, m: Monomial, x, t: Truncation):
                 return None
             y = sys.sigma(ref, y)
             if not sys.in_window(y, t):
-                raise WindowOverflow(y)
+                raise WindowOverflow(sys.element(y))
     return y
 
 
@@ -300,19 +313,22 @@ def act(
 ) -> ModuleVector:
     """Linear extension of the generator action to normal-form elements.
 
-    Raises WindowOverflow (naming the escaping element) if any intermediate
-    basis element leaves the window."""
+    Converts each basis element of m and of the result once.  Raises
+    WindowOverflow (naming the escaping element) if any intermediate basis
+    element leaves the window."""
     if a.graph != sys.graph:
         raise InputError("element and system live over different graphs")
     if a.field != m.field:
         raise InputError("element and vector fields differ")
+    value, element = sys.value, sys.element
+    vector = [(value(x), c) for x, c in m.terms.items()]
     terms, zero = {}, m.field.zero
     for mono, k in a.terms.items():
-        for x, c in m.terms.items():
+        for x, c in vector:
             y = _act_monomial(sys, mono, x, t)
             if y is not None:
                 _add_term(terms, y, k * c, zero)
-    return ModuleVector(m.field, terms)
+    return ModuleVector(m.field, {element(y): k for y, k in terms.items()})
 
 
 @dataclass
@@ -354,5 +370,5 @@ def degree_histogram(sys: BranchingSystem, t: Truncation) -> dict:
     """Counts of windowed basis elements per degree (graded systems only)."""
     if not sys.graded:
         raise InputError("system is not graded")
-    counts = Counter(sys.degree(x) for x in sys.enumerate(t))
+    counts = Counter(sys.degree(sys.value(x)) for x in sys.enumerate(t))
     return dict(sorted(counts.items()))

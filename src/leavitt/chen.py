@@ -127,18 +127,6 @@ class IrrationalRule:
     def vertex_support(self) -> frozenset:
         return self.c.vertex_set | self.d.vertex_set
 
-    def _locate(self, i: int) -> tuple:
-        """(cycle, index): edge i, 1-indexed, is cycle.steps[index] and
-        starts at cycle.sources[index]."""
-        nc, nd = len(self.c), len(self.d)
-        k = 1
-        while i > k * (nc + nd):
-            i -= k * (nc + nd)
-            k += 1
-        if i <= k * nc:
-            return self.c, (i - 1) % nc
-        return self.d, (i - k * nc - 1) % nd
-
     def edge_word(self):
         """The path's edges in order from edge 1: c, d, c c, d d, ..."""
         k = 1
@@ -148,18 +136,6 @@ class IrrationalRule:
             for _ in range(k):
                 yield from self.d.steps
             k += 1
-
-    def edge_at(self, i: int):
-        """The i-th edge of the path, 1-indexed."""
-        if i < 1:
-            raise InputError("edge positions are 1-indexed")
-        cycle, j = self._locate(i)
-        return cycle.steps[j]
-
-    def vertex_at(self, m: int) -> str:
-        """The vertex reached after m edges (the source of edge m + 1)."""
-        cycle, j = self._locate(m + 1)
-        return cycle.sources[j]
 
     def __str__(self):
         return f"({self.c})({self.d})({self.c})^2({self.d})^2..."
@@ -355,11 +331,13 @@ class _TailSystem(BranchingSystem):
     path p w_{m+1} w_{m+2} ...  In canonical form m is 0 or p's last step
     is not w_m, so each path of the module is one element.
 
-    A family gives its word, read from ``start``, and maps its elements to
-    and from (p, m) by ``_split`` and ``_join``.  A finite word ends its
-    positions; a periodic word (``period`` > 0) is read modulo its length,
-    at positions 1 to period, as such a tail carries no grading.
+    A family gives its word, read from ``start``, its ``value`` (an
+    element's plain tuple (p's steps, m)) and its ``_join`` (the element of
+    (p, m)).  A finite word ends its positions; a periodic word (``period``
+    > 0) is read modulo its length, at positions 1 to period, as such a
+    tail carries no grading.
 
+    The oracles run on values; ``enumerate`` and ``element`` give elements.
     An edge acts by prepending.  A canonical p with a step keeps that last
     step, so prepending never cancels; a bare tail at m cancels only w_m,
     and then moves to m - 1.  sigma_inv drops p's first step or moves a
@@ -374,6 +352,7 @@ class _TailSystem(BranchingSystem):
         self._word = iter(word)
         self._edges = [None]  # _edges[i] = w_i, as far as asked; None past a finite word
         self._period = period
+        self._sampled = {}  # bundle_sample -> the set of g's refs in that sample
 
     def _edge_at(self, i: int):
         """w_i, read once per system off one pass of the word."""
@@ -395,6 +374,13 @@ class _TailSystem(BranchingSystem):
             m -= 1
         return self._join(p, m)
 
+    def element(self, x):
+        steps, m = x
+        if not steps:
+            return self._join(vertex_path(self._vertex_at(m)), m)
+        g = self.graph
+        return self._join(Path((g.src(steps[0]),) + tuple(map(g.tgt, steps)), steps), m)
+
     def enumerate(self, t: Truncation):
         if self._period:  # one position per residue, in their anchors' order
             positions = sorted(range(1, self._period + 1), key=self._vertex_at)
@@ -411,39 +397,46 @@ class _TailSystem(BranchingSystem):
                     yield self._join(p, m)
 
     def in_window(self, x, t: Truncation) -> bool:
-        p, m = self._split(x)
-        return (self._period or m <= t.max_path_length) and _fits(p, t)
+        steps, m = x
+        if len(steps) > t.max_path_length or m > t.max_path_length and not self._period:
+            return False
+        refs = self._sampled.get(t.bundle_sample)
+        if refs is None:  # edge_refs(t) as one set
+            g, k = self.graph, t.bundle_sample
+            refs = frozenset(g.edges).union([(b, i) for b in g.bundles for i in range(k)])
+            self._sampled[k] = refs
+        return refs.issuperset(steps)
 
     def member_vertex(self, x, v: str) -> bool:
-        return self._split(x)[0].start == v
+        steps, m = x
+        return (self.graph.src(steps[0]) if steps else self._vertex_at(m)) == v
 
     def member_edge(self, x, ref) -> bool:
-        p, m = self._split(x)
-        if p.steps:
-            return p.steps[0] == ref
+        steps, m = x
+        if steps:
+            return steps[0] == ref
         return self._edge_at(m + 1) == ref
 
     def sigma(self, ref, x):
-        p, m = self._split(x)
-        step = _edge_path(self.graph, ref)
-        if m and not p.steps and ref == self._edge_at(m):
-            return self._join(vertex_path(step.start), m - 1)
-        return self._join(step.concat(p), m)
+        steps, m = x
+        if m and not steps and ref == self._edge_at(m):
+            return (), m - 1 or self._period
+        return (ref,) + steps, m
 
     def sigma_inv(self, ref, x):
-        p, m = self._split(x)
-        if p.steps:
-            if p.steps[0] == ref:
-                return self._join(p.drop_first(), m)
+        steps, m = x
+        if steps:
+            if steps[0] == ref:
+                return steps[1:], m
         elif ref == self._edge_at(m + 1):
-            return self._join(vertex_path(self.graph.tgt(ref)), m + 1)
+            return (), m % self._period + 1 if self._period else m + 1
         raise InputError("element is not in this edge fiber")
 
     def degree(self, x) -> Optional[int]:
         if not self.graded:
             return None
-        p, m = self._split(x)
-        return len(p.steps) - m
+        steps, m = x
+        return len(steps) - m
 
 
 class PathEndingSystem(_TailSystem):
@@ -454,8 +447,8 @@ class PathEndingSystem(_TailSystem):
         super().__init__(g, v, ())
         self.v = v
 
-    def _split(self, x: Path) -> tuple:
-        return x, 0
+    def value(self, x: Path) -> tuple:
+        return x.steps, 0
 
     def _join(self, p: Path, m: int) -> Path:
         return p
@@ -476,8 +469,8 @@ class NcBranchingSystem(_TailSystem):
         super().__init__(g, v, itertools.cycle(self.cycle.rotate_to(v).steps))
         self._ghosts = [vertex_path(v)]  # _ghosts[m] = w_1 ... w_m, as far as asked
 
-    def _split(self, x: ReducedPair) -> tuple:
-        return x.p, len(x.q.steps)
+    def value(self, x: ReducedPair) -> tuple:
+        return x.p.steps, len(x.q.steps)
 
     def _join(self, p: Path, m: int) -> ReducedPair:
         ghosts = self._ghosts
@@ -506,8 +499,8 @@ class RationalTailSystem(_TailSystem):
         self._rotations = [c.rotate_to(v) for v in c.sources]  # by position mod len(c)
         self._positions = {v: m or len(c) for m, v in enumerate(c.sources)}  # 1 to len(c)
 
-    def _split(self, x: RationalTailSpec) -> tuple:
-        return x.prefix, self._positions[x.cycle.base]
+    def value(self, x: RationalTailSpec) -> tuple:
+        return x.prefix.steps, self._positions[x.cycle.base]
 
     def _join(self, p: Path, m: int) -> RationalTailSpec:
         return RationalTailSpec(p, self._rotations[m % self._period])
@@ -562,8 +555,8 @@ class IrrationalTailSystem(_TailSystem):
         self.rule = rule
         super().__init__(g, rule.pivot, rule.edge_word())
 
-    def _split(self, x: TailElement) -> tuple:
-        return x.q, x.m
+    def value(self, x: TailElement) -> tuple:
+        return x.q.steps, x.m
 
     def _join(self, p: Path, m: int) -> TailElement:
         return TailElement(p, m)
@@ -762,7 +755,7 @@ def recover_generator(
     if not a.is_homogeneous(sys):
         raise InputError("vector is not homogeneous")
     for x in a.terms:
-        if not sys.in_window(x, t):
+        if not sys.in_window(sys.value(x), t):
             raise InputError(f"support element {x} is outside the window")
         red(g, sys.cycle, sys.v, x.p, x.q)  # the one check of each caller element
     j, block = 0, _blocks(sys, a)[0]
@@ -862,7 +855,7 @@ def verify_shift_iso(
     images = {}
     for x in window_w:
         y = iso.forward(x)
-        if not sys_v.in_window(y, t):
+        if not sys_v.in_window(sys_v.value(y), t):
             report.skipped += 1
             continue
         report.mapped += 1
@@ -878,18 +871,19 @@ def verify_shift_iso(
             report.failures.append(("inverse", x, y))
     for y in sys_v.enumerate(t):
         x = iso.inverse(y)
-        if sys_w.in_window(x, t):
+        if sys_w.in_window(sys_w.value(x), t):
             if iso.forward(x) != y:
                 report.inverse_ok = False
                 report.failures.append(("surjective", y, x))
 
     refs = sys_w.edge_refs(t)
     for x in window_w:
+        vx, vy = sys_w.value(x), sys_v.value(iso.forward(x))
         for e in refs:
-            if not sys_w.member_vertex(x, g.tgt(e)):
+            if not sys_w.member_vertex(vx, g.tgt(e)):
                 continue
-            lhs = iso.forward(sys_w.sigma(e, x))
-            rhs = sys_v.sigma(e, iso.forward(x))
+            lhs = iso.forward(sys_w.element(sys_w.sigma(e, vx)))
+            rhs = sys_v.element(sys_v.sigma(e, vy))
             if lhs != rhs:
                 report.intertwines_edges = False
                 report.failures.append(("sigma", e, x))
@@ -921,7 +915,7 @@ def _map_vector(iso: ShiftIso, m: ModuleVector, sys_v, t: Truncation) -> ModuleV
     terms, zero = {}, m.field.zero
     for x, k in m.terms.items():
         y = iso.forward(x)
-        if not sys_v.in_window(y, t):
+        if not sys_v.in_window(sys_v.value(y), t):
             raise WindowOverflow(y)
         _add_term(terms, y, k, zero)
     return ModuleVector(m.field, terms)

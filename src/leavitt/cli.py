@@ -300,7 +300,7 @@ def cmd_act(args) -> int:
         vec = ModuleVector(field)
     else:
         x = _resolve_basis(system, args.basis, field, t)
-        if not system.in_window(x, t):
+        if not system.in_window(system.value(x), t):
             raise InputError(f"basis element {x} is outside the window")
         vec = ModuleVector.unit(x, field)
     result = act(system, element, vec, t)

@@ -22,7 +22,7 @@ class WindowOverflow(LeavittError):
 
     def __init__(self, element, message=None):
         self.element = element
-        super().__init__(message or f"basis element escapes the window: {element!r}")
+        super().__init__(message or f"basis element escapes the window: {element}")
 
 
 class MalformedSystem(LeavittError):

@@ -406,13 +406,12 @@ def check_annihilator(g: Graph, d, ideal, t: Truncation, field=QQ):
     H that act as zero on the whole window (each should have a witness)."""
     system = chen.build_module(g, d)
     gens = chen.annihilator_generators(g, d, field, ideal)
-    window = list(system.enumerate(t))
     missing = [
         u
         for u in sorted(g.vertices - ideal.pair.H)
         if all(
             act(system, alg.vertex(g, u, field), ModuleVector.unit(x, field), t).is_zero
-            for x in window
+            for x in system.enumerate(t)
         )
     ]
     return annihilation_check(system, gens, t), missing
@@ -426,7 +425,7 @@ def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) 
     system = chen.build_module(g, d)
     by_degree: dict = {}
     for x in system.enumerate(t):
-        by_degree.setdefault(system.degree(x), []).append(x)
+        by_degree.setdefault(system.degree(system.value(x)), []).append(x)
     degrees = sorted(by_degree)
     out = []
     for _ in range(rounds):

@@ -12,8 +12,9 @@ once.  Every question goes to the system's oracles afresh:
   X_r(e) (axiom (3) and gradedness) and then sigma_inv(e, x) for x in X_e,
   so each round trip inside the window is checked from both ends.
 
-``check_axioms`` must return a report equal to this one field for field,
-both lists in the same order.
+The questions take each element's value, ``sys.value(x)``, and the
+report names the element.  ``check_axioms`` must return a report equal to
+this one field for field, both lists in the same order.
 """
 
 from leavitt.branching import AxiomReport
@@ -34,14 +35,15 @@ def check_axioms(sys, t):
     g = sys.graph
 
     for x in window:
-        vs = [v for v in g.vertex_list if sys.member_vertex(x, v)]
+        vx = sys.value(x)
+        vs = [v for v in g.vertex_list if sys.member_vertex(vx, v)]
         if len(vs) > 1:
             report.note("axiom1", (x, vs))
-        es = [e for e in refs if sys.member_edge(x, e)]
+        es = [e for e in refs if sys.member_edge(vx, e)]
         if len(es) > 1:
             report.note("axiom1", (x, es))
         for e in es:
-            if not sys.member_vertex(x, g.src(e)):
+            if not sys.member_vertex(vx, g.src(e)):
                 report.note("axiom2", (x, e))
         if not vs:
             report.note("saturated", x)
@@ -55,23 +57,24 @@ def check_axioms(sys, t):
     for e in refs:
         rv = g.tgt(e)
         for x in window:
-            if sys.member_vertex(x, rv):
-                y = sys.sigma(e, x)
+            vx = sys.value(x)
+            if sys.member_vertex(vx, rv):
+                y = sys.sigma(e, vx)
                 if sys.in_window(y, t):
                     if not sys.member_edge(y, e):
                         report.note("axiom3", (x, e))
-                    elif sys.sigma_inv(e, y) != x:
+                    elif sys.sigma_inv(e, y) != vx:
                         report.note("axiom3", (x, e, "inverse mismatch"))
-                    if sys.graded and sys.degree(y) != sys.degree(x) + 1:
+                    if sys.graded and sys.degree(y) != sys.degree(vx) + 1:
                         report.note("graded", (x, e))
                 else:
                     report.overflow_notes.append((e, x))
-            if sys.member_edge(x, e):
-                x2 = sys.sigma_inv(e, x)
+            if sys.member_edge(vx, e):
+                x2 = sys.sigma_inv(e, vx)
                 if sys.in_window(x2, t):
                     if not sys.member_vertex(x2, rv):
                         report.note("axiom3", (x, e, "inverse range"))
-                    elif sys.sigma(e, x2) != x:
+                    elif sys.sigma(e, x2) != vx:
                         report.note("axiom3", (x, e, "inverse composition"))
                 else:
                     report.overflow_notes.append((e, x))

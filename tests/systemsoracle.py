@@ -7,7 +7,9 @@ copy of those rules.  The classes are moved with their rules unchanged,
 less their type hints, their basis selectors and ``basis_vertex``, which the
 oracle does not compare.
 ``RationalTailSpec.first_edge`` and ``Cycle.edge_from``, which only the
-rational system used, are inlined as ``_first_edge``.
+rational system used, are inlined as ``_first_edge``.  The irrational
+rule's locator, which only this oracle uses, is kept here as ``edge_at``
+and ``vertex_at``.  The old systems' values are their elements.
 
 Built on the same descriptor, the new and the old system must give the same
 window in the same order and the same answer to every oracle question.
@@ -32,6 +34,33 @@ from leavitt.graphs import (
     rational_tail,
     vertex_path,
 )
+
+
+def _locate(rule, i):
+    """(cycle, index): edge i of the rule path, 1-indexed, is
+    cycle.steps[index] and starts at cycle.sources[index]."""
+    nc, nd = len(rule.c), len(rule.d)
+    k = 1
+    while i > k * (nc + nd):
+        i -= k * (nc + nd)
+        k += 1
+    if i <= k * nc:
+        return rule.c, (i - 1) % nc
+    return rule.d, (i - k * nc - 1) % nd
+
+
+def edge_at(rule, i):
+    """The i-th edge of the rule path, 1-indexed."""
+    if i < 1:
+        raise InputError("edge positions are 1-indexed")
+    cycle, j = _locate(rule, i)
+    return cycle.steps[j]
+
+
+def vertex_at(rule, m):
+    """The vertex of the rule path after m edges (the source of edge m + 1)."""
+    cycle, j = _locate(rule, m + 1)
+    return cycle.sources[j]
 
 
 def _first_edge(x: RationalTailSpec):
@@ -171,20 +200,20 @@ class IrrationalTailSystem(BranchingSystem):
     def __init__(self, g, rule):
         self.graph = g
         self.rule = rule
-        self._edges = [None]  # _edges[i] = rule.edge_at(i), as far as asked
+        self._edges = [None]  # _edges[i] = edge_at(rule, i), as far as asked
         self._word = rule.edge_word()
 
     def _edge_at(self, i):
-        """rule.edge_at(i), read once per system off one pass of the word."""
+        """edge_at(rule, i), read once per system off one pass of the word."""
         edges = self._edges
         if i < 1:
-            return self.rule.edge_at(i)  # which raises: positions start at 1
+            return edge_at(self.rule, i)  # which raises: positions start at 1
         while len(edges) <= i:
             edges.append(next(self._word))
         return edges[i]
 
     def _vertex_at(self, m):
-        """rule.vertex_at(m) for m >= 0: the source of edge m + 1."""
+        """vertex_at(rule, m) for m >= 0: the source of edge m + 1."""
         return self.graph.src(self._edge_at(m + 1))
 
     def _canonical(self, q, m):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import axiomsoracle
+import systemsoracle
 from leavitt import algebra as alg
-from leavitt import chen
+from leavitt import chen, graphs
 from leavitt.branching import (
     ModuleVector,
     Truncation,
@@ -20,7 +21,7 @@ from leavitt.catalog import CATALOG, G1, G2, G3, G4, G5, G6
 from leavitt.errors import InputError, MalformedSystem, WindowOverflow
 from leavitt.fields import QQ, PrimeField
 from leavitt.graphs import enumerate_cycles, enumerate_paths, make_path, vertex_path
-from leavitt.verification import catalog_modules
+from leavitt.verification import catalog_modules, check_annihilator
 
 T = Truncation(4, 2)
 
@@ -74,7 +75,7 @@ class TestCheckAxioms:
         c0, c1 = enumerate_cycles(G4, 2)
         sys = chen.build_module(G4, chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1)))
         t = Truncation(7, 3)
-        window, refs = list(sys.enumerate(t)), sys.edge_refs(t)
+        window, refs = list(map(sys.value, sys.enumerate(t))), sys.edge_refs(t)
         images = sum(sys.member_vertex(x, G4.tgt(e)) for e in refs for x in window)
         preimages = sum(sys.member_edge(x, e) for e in refs for x in window)
         calls = Counter()
@@ -96,8 +97,25 @@ class TestCheckAxioms:
         assert len(window) == 18_589 and len(rep.overflow_notes) == 37_180
         assert rep.axioms_1_to_4 and rep.graded
 
+    def test_one_element_built_per_window_element(self, monkeypatch):
+        # the oracles run on values, so sigma, sigma_inv and the witnesses
+        # build no element or path: only the enumeration does, once each
+        c0, c1 = enumerate_cycles(G4, 2)
+        sys = chen.build_module(G4, chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1)))
+        built = Counter()
+        for cls in (chen.TailElement, graphs.Path):
 
-class HoleInWindow(chen.PathEndingSystem):
+            def counted(self, *a, _name=cls.__name__, _init=cls.__init__, **k):
+                built.update([_name])
+                _init(self, *a, **k)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        rep = check_axioms(sys, Truncation(7, 3))
+        assert len(rep.overflow_notes) == 37_180 and rep.axioms_1_to_4 and rep.graded
+        assert built["TailElement"] <= 18_589 and built["Path"] <= 18_589
+
+
+class HoleInWindow(systemsoracle.PathEndingSystem):
     """The enumeration lacks one in-window path, which sigma reaches."""
 
     def enumerate(self, t):
@@ -105,7 +123,7 @@ class HoleInWindow(chen.PathEndingSystem):
         return (p for p in super().enumerate(t) if p != hole)
 
 
-class StrayImage(chen.PathEndingSystem):
+class StrayImage(systemsoracle.PathEndingSystem):
     """On G6, sigma(f, x) is the path g.f: in the window, outside X_f, and
     lacking from the enumeration, which holds the paths ending at v."""
 
@@ -115,14 +133,14 @@ class StrayImage(chen.PathEndingSystem):
         return super().sigma(ref, x)
 
 
-class WrongPreimage(chen.PathEndingSystem):
+class WrongPreimage(systemsoracle.PathEndingSystem):
     """sigma_inv sends e.e to the vertex: an inverse mismatch."""
 
     def sigma_inv(self, ref, x):
         return vertex_path("v") if len(x) == 2 else super().sigma_inv(ref, x)
 
 
-class PreimageOutOfRange(chen.PathEndingSystem):
+class PreimageOutOfRange(systemsoracle.PathEndingSystem):
     """On G6, sigma_inv(f, x) is the path f, which starts outside
     X_w = X_r(f) and which the enumeration lacks."""
 
@@ -132,7 +150,7 @@ class PreimageOutOfRange(chen.PathEndingSystem):
         return super().sigma_inv(ref, x)
 
 
-class TwoEdgeFibers(chen.PathEndingSystem):
+class TwoEdgeFibers(systemsoracle.PathEndingSystem):
     """On G6, the path g (in X_w) also claims X_f, whose source is v."""
 
     def member_edge(self, x, ref):
@@ -248,7 +266,7 @@ class TestAct:
             except WindowOverflow:
                 continue
             if not out.is_zero:
-                assert out.degrees(sys) == {alg.degree(a) + sys.degree(x)}
+                assert out.degrees(sys) == {alg.degree(a) + sys.degree(sys.value(x))}
 
     def test_window_overflow_named(self):
         _, sys = nc_system(G1)
@@ -276,9 +294,9 @@ def _pairwise_act(sys, a, m, t):
     out = ModuleVector(m.field)
     for mono, k in a.terms.items():
         for x, c in m.terms.items():
-            y = _act_monomial(sys, mono, x, t)
+            y = _act_monomial(sys, mono, sys.value(x), t)
             if y is not None:
-                out = out + ModuleVector(m.field, {y: k * c})
+                out = out + ModuleVector(m.field, {sys.element(y): k * c})
     return out
 
 
@@ -363,6 +381,47 @@ class TestAnnihilationCheck:
         assert rep.passed and rep.checked == 0 and not rep.overflows
 
 
+def _eager_missing(g, d, ideal, t):
+    """check_annihilator's vertices outside H acting as zero on the window,
+    from the window listed first: the oracle of its lazy walk."""
+    system = chen.build_module(g, d)
+    window = list(system.enumerate(t))
+    return [
+        u
+        for u in sorted(g.vertices - ideal.pair.H)
+        if all(
+            act(system, alg.vertex(g, u), ModuleVector.unit(x), t).is_zero for x in window
+        )
+    ]
+
+
+class TestCheckAnnihilator:
+    def test_missing_matches_the_listed_window(self):
+        t = Truncation(4, 2)
+        for _, g, d in catalog_modules(CATALOG):
+            ideal = chen.annihilator(g, d)
+            _, missing = check_annihilator(g, d, ideal, t)
+            assert missing == _eager_missing(g, d, ideal, t), d
+
+    def test_walk_stops_at_the_first_witness(self, monkeypatch):
+        # G4's irrational module has the zero annihilator, so no generator
+        # walks the window, and v acts as the identity on the first element
+        c0, c1 = enumerate_cycles(G4, 2)
+        d = chen.valpha_module(G4, chen.irrational_rule(G4, c0, c1))
+        yields = Counter()
+        walk = chen._TailSystem.enumerate
+
+        def counted(self, t):
+            for x in walk(self, t):
+                yields.update(["x"])
+                yield x
+
+        monkeypatch.setattr(chen._TailSystem, "enumerate", counted)
+        rep, missing = check_annihilator(G4, d, chen.annihilator(G4, d), Truncation(7, 3))
+        assert missing == [] and rep.passed and rep.checked == 0
+        assert yields["x"] == 1
+
+
 class TestDegreeHistogram:
     def test_nc_g1_one_per_degree(self):
         _, sys = nc_system(G1)
@@ -418,7 +477,7 @@ class TestModuleVector:
     def test_homogeneity(self):
         d = chen.sink_module(G2, "w")
         sys = chen.build_module(G2, d)
-        xs = sorted(sys.enumerate(Truncation(2, 2)), key=sys.degree)
+        xs = sorted(sys.enumerate(Truncation(2, 2)), key=lambda x: sys.degree(sys.value(x)))
         hom = ModuleVector.unit(xs[0])
         assert hom.is_homogeneous(sys)
         mixed = ModuleVector.unit(xs[0]) + ModuleVector.unit(xs[-1])

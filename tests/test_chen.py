@@ -67,7 +67,8 @@ class TestRed:
 
 
 # The two position loops of IrrationalRule before they shared one locator:
-# the oracles of edge_at and vertex_at.
+# the oracles of the rule's word, the systems' word cache and the locator
+# that tests/systemsoracle.py keeps.
 def _loop_edge_at(rule, i):
     nc, nd = len(rule.c), len(rule.d)
     k = 1
@@ -94,58 +95,60 @@ def _loop_vertex_at(rule, m):
 
 
 def _three_rules():
-    """Irrational rules on G4, G5 and on two cycles of lengths 2 and 3
-    through p."""
+    """(graph, rule): irrational rules on G4, G5 and on two cycles of
+    lengths 2 and 3 through p."""
     g = Graph(["p", "x", "y", "z"], edges={
         "a1": ("p", "x"), "a2": ("x", "p"),
         "b1": ("p", "y"), "b2": ("y", "z"), "b3": ("z", "p"),
     })
-    return [chen.irrational_rule(h, *enumerate_cycles(h, 2)[:2]) for h in (G4, G5, g)]
+    return [(h, chen.irrational_rule(h, *enumerate_cycles(h, 2)[:2])) for h in (G4, G5, g)]
 
 
 class TestIrrationalRule:
     def test_word_expansion(self):
         c0, c1 = enumerate_cycles(G4, 2)
         rule = chen.irrational_rule(G4, c0, c1)
-        word = [rule.edge_at(i) for i in range(1, 13)]
+        word = list(itertools.islice(rule.edge_word(), 12))
         b0, b1 = ("b", 0), ("b", 1)
         assert word == [b0, b1, b0, b0, b1, b1, b0, b0, b0, b1, b1, b1]
 
     def test_g5_word(self):
         d, e = enumerate_cycles(G5)
         rule = chen.irrational_rule(G5, d, e)
-        word = [rule.edge_at(i) for i in range(1, 7)]
+        word = list(itertools.islice(rule.edge_word(), 6))
         assert word == ["d", "e", "d", "d", "e", "e"]
 
     def test_locator_agrees_with_position_loops(self):
-        rules = _three_rules()
-        for rule in rules:
+        systems = [chen.IrrationalTailSystem(g, rule) for g, rule in _three_rules()]
+        for system in systems:
+            rule = system.rule
             for m in range(301):
-                assert rule.vertex_at(m) == _loop_vertex_at(rule, m)
+                assert system._vertex_at(m) == _loop_vertex_at(rule, m)
+                assert systemsoracle.vertex_at(rule, m) == _loop_vertex_at(rule, m)
                 if m >= 1:
-                    assert rule.edge_at(m) == _loop_edge_at(rule, m)
-        assert [rules[2].vertex_at(m) for m in range(8)] == list("pxpyzpxp")
+                    assert system._edge_at(m) == _loop_edge_at(rule, m)
+                    assert systemsoracle.edge_at(rule, m) == _loop_edge_at(rule, m)
+        assert [systems[2]._vertex_at(m) for m in range(8)] == list("pxpyzpxp")
 
     def test_edge_word_agrees_with_locator(self):
-        for rule in _three_rules():
+        for _, rule in _three_rules():
             word = rule.edge_word()
             assert [next(word) for _ in range(3000)] == [
-                rule.edge_at(i) for i in range(1, 3001)
+                _loop_edge_at(rule, i) for i in range(1, 3001)
             ]
 
-    def test_system_reads_the_word_without_the_locator(self, monkeypatch):
+    def test_system_reads_the_word_without_the_locator(self):
         # The system's cache follows one pass of the word, so reaching a far
-        # position is linear; the locator (a walk from position 1) is unused.
+        # position is linear; the rule keeps no locator (a walk from
+        # position 1) in the library.
         c0, c1 = enumerate_cycles(G4, 2)
         rule = chen.irrational_rule(G4, c0, c1)
-        expected = {i: rule.edge_at(i) for i in (1, 2, 39999, 40000)}
-
-        def no_locate(self, i):
-            raise AssertionError("the locator walked the word")
-
-        monkeypatch.setattr(chen.IrrationalRule, "_locate", no_locate)
+        expected = {i: _loop_edge_at(rule, i) for i in (1, 2, 39999, 40000)}
+        for name in ("_locate", "edge_at", "vertex_at"):
+            assert not hasattr(chen.IrrationalRule, name), name
         system = chen.IrrationalTailSystem(G4, rule)
         assert {i: system._edge_at(i) for i in (40000, 39999, 1, 2)} == expected
+        assert len(system._edges) == 40001
         with pytest.raises(InputError):
             system._edge_at(0)
 
@@ -259,7 +262,7 @@ class TestNcSystems:
     def test_g1_basis_one_per_degree(self):
         sys = chen.build_module(G1, chen.nc_module(G1, C1, "v"))
         basis = list(sys.enumerate(Truncation(3, 1)))
-        degrees = sorted(sys.degree(x) for x in basis)
+        degrees = sorted(sys.degree(sys.value(x)) for x in basis)
         assert degrees == list(range(-3, 4))
 
     def test_axiom_report_green(self):
@@ -270,7 +273,7 @@ class TestNcSystems:
 
     def test_cycle_edge_fiber_equals_source_fiber(self):
         sys = chen.build_module(G3, chen.nc_module(G3, C3, "v"))
-        for x in sys.enumerate(T):
+        for x in map(sys.value, sys.enumerate(T)):
             assert sys.member_edge(x, "c") == sys.member_vertex(x, "v")
 
     def test_ghost_action_identities(self):
@@ -307,8 +310,8 @@ def _per_anchor_window(sys, t):
                     yield RationalTailSpec(p, cyc_w)
     else:
         for m in range(n + 1):
-            for q in enumerate_paths(g, n, s, end=sys.rule.vertex_at(m)):
-                if not (m >= 1 and q.steps and q.steps[-1] == sys.rule.edge_at(m)):
+            for q in enumerate_paths(g, n, s, end=_loop_vertex_at(sys.rule, m)):
+                if not (m >= 1 and q.steps and q.steps[-1] == _loop_edge_at(sys.rule, m)):
                     yield chen.TailElement(q, m)
 
 
@@ -478,7 +481,7 @@ class TestDecomposeAndRecover:
 
     def test_inhomogeneous_rejected(self):
         d, sys = self._sys(G1, C1)
-        xs = sorted(sys.enumerate(Truncation(2, 1)), key=sys.degree)
+        xs = sorted(sys.enumerate(Truncation(2, 1)), key=lambda x: sys.degree(sys.value(x)))
         vec = ModuleVector.unit(xs[0]) + ModuleVector.unit(xs[-1])
         with pytest.raises(InputError):
             chen.homogeneous_decompose(G1, d, vec)
@@ -511,7 +514,7 @@ class TestDecomposeAndRecover:
             d, sys = self._sys(g, c, v)
             by_degree = {}
             for x in sys.enumerate(T):
-                by_degree.setdefault(sys.degree(x), []).append(x)
+                by_degree.setdefault(sys.degree(sys.value(x)), []).append(x)
             for _ in range(60):
                 deg = rng.choice(sorted(by_degree))
                 elems = by_degree[deg]
@@ -639,7 +642,7 @@ class TestNonSimplicityRegression:
         d = chen.nc_module(G1, C1, "v")
         sys = chen.build_module(G1, d)
         t = Truncation(5, 1)
-        basis = sorted(sys.enumerate(t), key=sys.degree)
+        basis = sorted(sys.enumerate(t), key=lambda x: sys.degree(sys.value(x)))
         index = {x: i for i, x in enumerate(basis)}
         e_elt = {str(x): x for x in basis}["e"]
         x0 = ModuleVector.unit(sys.basis_vertex()) - ModuleVector.unit(e_elt)
@@ -779,18 +782,20 @@ class TestVAlphaSystems:
     def test_irrational_graded(self, monkeypatch):
         c0, c1 = enumerate_cycles(G4, 2)
         rule = chen.irrational_rule(G4, c0, c1)
-        sys = chen.build_module(G4, chen.valpha_module(G4, rule))
         positions = []
-        edge_at = chen.IrrationalRule.edge_at
-        monkeypatch.setattr(
-            chen.IrrationalRule,
-            "edge_at",
-            lambda self, i: positions.append(i) or edge_at(self, i),
-        )
+        edge_word = chen.IrrationalRule.edge_word
+
+        def counted_word(self):
+            for i, ref in enumerate(edge_word(self), 1):
+                positions.append(i)
+                yield ref
+
+        monkeypatch.setattr(chen.IrrationalRule, "edge_word", counted_word)
+        sys = chen.build_module(G4, chen.valpha_module(G4, rule))
         rep = check_axioms(sys, Truncation(3, 2))
         assert rep.axioms_1_to_4 and rep.perfect and rep.saturated and rep.graded
         # the system computes each position of the rule's word once
-        assert sorted(positions) == list(range(1, len(positions) + 1))
+        assert positions and sorted(positions) == list(range(1, len(positions) + 1))
 
     def test_irrational_canonical_forms(self):
         d, e = enumerate_cycles(G5)
@@ -808,7 +813,10 @@ FAMILIES = (
     chen.RationalTailSystem,
     chen.IrrationalTailSystem,
 )
-RULES = ("enumerate", "in_window", "member_vertex", "member_edge", "sigma", "sigma_inv", "degree")
+RULES = (
+    "enumerate", "in_window", "member_vertex", "member_edge", "sigma", "sigma_inv", "degree",
+    "element",
+)
 
 
 class TestTailSystem:
@@ -832,20 +840,27 @@ class TestTailSystem:
             assert elements == list(old.enumerate(t)), d
             refs = new.edge_refs(t)
             for x in elements:
-                assert new.in_window(x, t) == old.in_window(x, t), x
-                assert new.degree(x) == old.degree(x), x
+                vx = new.value(x)
+                assert new.element(vx) == x, x
+                assert new.in_window(vx, t) == old.in_window(x, t), x
+                assert new.degree(vx) == old.degree(x), x
                 for v in g.vertex_list:
-                    assert new.member_vertex(x, v) == old.member_vertex(x, v), (x, v)
+                    assert new.member_vertex(vx, v) == old.member_vertex(x, v), (x, v)
                 for e in refs:
-                    assert new.member_edge(x, e) == old.member_edge(x, e), (x, e)
+                    assert new.member_edge(vx, e) == old.member_edge(x, e), (x, e)
                     if old.member_vertex(x, g.tgt(e)):
-                        assert new.sigma(e, x) == old.sigma(e, x), (x, e)
+                        y, old_y = new.sigma(e, vx), old.sigma(e, x)
+                        assert new.element(y) == old_y and y == new.value(old_y), (x, e)
+                        assert new.in_window(y, t) == old.in_window(old_y, t), (x, e)
                     if old.member_edge(x, e):
-                        assert new.sigma_inv(e, x) == old.sigma_inv(e, x), (x, e)
+                        y, old_y = new.sigma_inv(e, vx), old.sigma_inv(e, x)
+                        assert new.element(y) == old_y and y == new.value(old_y), (x, e)
+                        assert new.in_window(y, t) == old.in_window(old_y, t), (x, e)
                     else:
-                        for system in (new, old):
-                            with pytest.raises(InputError):
-                                system.sigma_inv(e, x)
+                        with pytest.raises(InputError):
+                            new.sigma_inv(e, vx)
+                        with pytest.raises(InputError):
+                            old.sigma_inv(e, x)
         assert seen == set(FAMILIES)
 
     def test_axiom_reports_match_the_per_family_systems(self):

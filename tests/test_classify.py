@@ -391,7 +391,7 @@ class TestChenWitness:
         assert w.kind == "extreme_cycle"
         assert isinstance(w.descriptor, chen.VAlphaModule)
         rule = w.descriptor.tail
-        assert [str(rule.edge_at(i)) for i in range(1, 7)] == [
+        assert [str(ref) for ref in itertools.islice(rule.edge_word(), 6)] == [
             "d", "e", "d", "d", "e", "e",
         ]
 

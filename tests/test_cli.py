@@ -516,13 +516,15 @@ class TestCommands:
         assert json.loads(out)["result"] == "0"
 
     def test_act_overflow_exit_3(self, capsys, g3_file):
-        code, _, err = run_cli(
-            capsys, "act", g3_file,
-            "--module", "nc:loop@v", "--element", "c c c", "--basis", "v",
-            "--window", "2", "1",
-        )
-        assert code == 3
-        assert "window overflow" in err
+        # one escape through sigma, one through sigma_inv
+        for element, escaped in [("c c c", "ccc"), ("c* c* c*", "c*c*c*")]:
+            code, _, err = run_cli(
+                capsys, "act", g3_file,
+                "--module", "nc:loop@v", "--element", element, "--basis", "v",
+                "--window", "2", "1",
+            )
+            assert code == 3
+            assert err == f"window overflow: basis element escapes the window: {escaped}\n"
 
     def test_ann_verify(self, capsys, g3_file):
         code, out, _ = run_cli(
