@@ -6,10 +6,13 @@ the empty word), infinite-path modules with a rational tail (c read modulo
 its length) or an irrational tail (two cycles interleaved), and the cyclic
 modules N_c of an exclusive cycle, whose reduced pairs p.q* glue a path to
 a ghost walk around the cycle.  ``_TailSystem`` holds their fiber, sigma,
-window, degree and enumeration rules once.  Each family knows its exact
-annihilator as an admissible pair (or, for a rational tail ending in an
-exclusive cycle, a non-graded descriptor); the branching engine verifies
-those formulas on bounded windows.
+window, degree and enumeration rules once.  ``NcBranchingSystem.reduce`` is
+the one check and reduction of a caller's pair p.q*; ``red``, the basis
+selector, the N_c entry points and the shift isomorphisms go through it, or
+through the strip rule ``_TailSystem._canonical`` on pairs a system built.
+Each family knows its exact annihilator as an admissible pair (or, for a
+rational tail ending in an exclusive cycle, a non-graded descriptor); the
+branching engine verifies those formulas on bounded windows.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .ideals import (
 
 
 # ---------------------------------------------------------------------------
-# The reduction calculus
+# Reduced pairs
 # ---------------------------------------------------------------------------
 
 
@@ -74,32 +77,13 @@ class ReducedPair(_PathPair):
         return real or ghost or self.p.start
 
 
-def _check_inside_cycle(cycle_at_v: Cycle, q: Path):
-    if q.start != cycle_at_v.base:
-        raise InputError(f"q must start at the basepoint {cycle_at_v.base!r}")
-    if q.steps != cycle_at_v.walk_from(cycle_at_v.base, len(q)).steps:
-        raise InputError("q escapes the cycle")
-
-
 def red(g: Graph, cycle: Cycle, v: str, p: Path, q: Path) -> ReducedPair:
     """The unique reduced representative of p.q*: strip matching final edges.
 
     Degree-preserving and idempotent.  Requires r(p) = r(q) and q inside the
     cycle starting at v.
     """
-    cycle_at_v = cycle.rotate_to(v)
-    _check_inside_cycle(cycle_at_v, q)
-    if p.end != q.end:
-        raise InputError("p and q must share their range")
-    return _strip(p, q)
-
-
-def _strip(p: Path, q: Path) -> ReducedPair:
-    """red for a pair the caller knows satisfies its requirements."""
-    while p.steps and q.steps and p.steps[-1] == q.steps[-1]:
-        p = p.drop_last()
-        q = q.drop_last()
-    return ReducedPair(p, q)
+    return NcBranchingSystem(g, cycle, v).reduce(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +445,8 @@ class PathEndingSystem(_TailSystem):
 
 class NcBranchingSystem(_TailSystem):
     """Reduced pairs p.q* with the reduction-twisted prepend action: the word
-    runs around the cycle from v, and q is its first m edges."""
+    runs around the cycle from v, and q is its first m edges, the ghost walk
+    of length m."""
 
     def __init__(self, g: Graph, cycle: Cycle, v: str):
         self.cycle = cycle.canonical()
@@ -472,17 +457,32 @@ class NcBranchingSystem(_TailSystem):
     def value(self, x: ReducedPair) -> tuple:
         return x.p.steps, len(x.q.steps)
 
-    def _join(self, p: Path, m: int) -> ReducedPair:
+    def _ghost(self, m: int) -> Path:
+        """The ghost walk w_1 ... w_m, built once per system."""
         ghosts = self._ghosts
         while len(ghosts) <= m:
             ghosts.append(ghosts[-1].concat(_edge_path(self.graph, self._edge_at(len(ghosts)))))
-        return ReducedPair(p, ghosts[m])
+        return ghosts[m]
+
+    def _join(self, p: Path, m: int) -> ReducedPair:
+        return ReducedPair(p, self._ghost(m))
+
+    def reduce(self, p: Path, q: Path) -> ReducedPair:
+        """red(g, cycle, v, p, q): check that q is a ghost walk and that
+        r(p) = r(q), then strip p's last step while it is q's."""
+        if q.start != self.v:
+            raise InputError(f"q must start at the basepoint {self.v!r}")
+        if q != self._ghost(len(q)):
+            raise InputError("q escapes the cycle")
+        if p.end != q.end:
+            raise InputError("p and q must share their range")
+        return self._canonical(p, len(q))
 
     def basis_vertex(self) -> ReducedPair:
         return ReducedPair(vertex_path(self.v), vertex_path(self.v))
 
     def basis_element(self, m: alg.Monomial, shift: int, t: Truncation) -> ReducedPair:
-        return red(self.graph, self.cycle, self.v, m.p, m.q)
+        return self.reduce(m.p, m.q)
 
 
 class RationalTailSystem(_TailSystem):
@@ -699,6 +699,17 @@ def _nc_system(g: Graph, d: NcModule) -> NcBranchingSystem:
     return build_module(g, d)
 
 
+def _check_basis(sys: NcBranchingSystem, x: ReducedPair) -> None:
+    """The one check of a caller's element: x is a basis element of sys
+    when sys.reduce(x.p, x.q) == x; else InputError names x."""
+    try:
+        y = sys.reduce(x.p, x.q)
+    except InputError as exc:
+        raise InputError(f"{x} is not a basis element of N_{sys.cycle}^{sys.v}: {exc}") from None
+    if y != x:
+        raise InputError(f"{x} is not a basis element of N_{sys.cycle}^{sys.v}: it reduces to {y}")
+
+
 def homogeneous_decompose(g: Graph, d: NcModule, a: ModuleVector) -> list:
     """Partition the support of a homogeneous vector by off-cycle prefix.
 
@@ -709,7 +720,7 @@ def homogeneous_decompose(g: Graph, d: NcModule, a: ModuleVector) -> list:
     if not a.is_homogeneous(sys):
         raise InputError("vector is not homogeneous")
     for x in a.terms:
-        red(g, sys.cycle, sys.v, x.p, x.q)  # the one check of each caller element
+        _check_basis(sys, x)
     return _blocks(sys, a)
 
 
@@ -727,7 +738,7 @@ def _blocks(sys: NcBranchingSystem, a: ModuleVector) -> list:
                 "distinct same-prefix basis elements in a homogeneous vector"
             )
         k, c_part, x = entries[0]
-        collapsed = _strip(c_part, x.q)
+        collapsed = sys._canonical(c_part, len(x.q))
         blocks.append(Block(k, t, c_part, x.q, collapsed, x))
     return blocks
 
@@ -749,7 +760,11 @@ def recover_generator(
     For nonzero homogeneous a with support block k * red(p q*), the element
     (1/k) q p* sends a to the basis vertex; this is the executable content
     of graded simplicity."""
-    sys = _nc_system(g, d)
+    return _recover(_nc_system(g, d), a, t)
+
+
+def _recover(sys: NcBranchingSystem, a: ModuleVector, t: Truncation) -> GeneratorWitness:
+    """recover_generator on the validated system of its descriptor."""
     if a.is_zero:
         raise InputError("vector is zero")
     if not a.is_homogeneous(sys):
@@ -757,18 +772,17 @@ def recover_generator(
     for x in a.terms:
         if not sys.in_window(sys.value(x), t):
             raise InputError(f"support element {x} is outside the window")
-        red(g, sys.cycle, sys.v, x.p, x.q)  # the one check of each caller element
-    j, block = 0, _blocks(sys, a)[0]
-    p_j = block.t.concat(block.c_part)
-    q_j = block.q
-    carrier = alg.monomial(g, q_j, p_j, field=a.field).scale(1 / block.k)
+        _check_basis(sys, x)
+    block = _blocks(sys, a)[0]
+    p, q = block.basis.p, block.q
+    carrier = alg.monomial(sys.graph, q, p, field=a.field).scale(1 / block.k)
     result = act(sys, carrier, a, t)
     target = ModuleVector.unit(sys.basis_vertex(), a.field)
     if result != target:
         raise InternalCheckError(
             f"generator recovery failed: got {result}, wanted {target}"
         )
-    return GeneratorWitness(j, p_j, q_j, block.k, carrier)
+    return GeneratorWitness(0, p, q, block.k, carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -779,32 +793,44 @@ def recover_generator(
 @dataclass(frozen=True)
 class ShiftIso:
     """The basis map N_c at basepoint w -> N_c at basepoint v appending the
-    arc from v to w as extra ghost; shifts degree down by the arc length."""
+    arc from v to w as extra ghost; shifts degree down by the arc length.
+    ``source`` and ``target`` are the systems at w and at v, built once."""
 
     g: Graph
     cycle: Cycle
     v: str
     w: str
     arc: Path  # v -> w along the cycle
+    source: NcBranchingSystem = dc_field(init=False, repr=False, compare=False)
+    target: NcBranchingSystem = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "source", NcBranchingSystem(self.g, self.cycle, self.w))
+        object.__setattr__(self, "target", NcBranchingSystem(self.g, self.cycle, self.v))
 
     @property
     def n(self) -> int:
         return len(self.arc)
 
     def forward(self, x: ReducedPair) -> ReducedPair:
-        return red(self.g, self.cycle, self.v, x.p, self.arc.concat(x.q))
+        _check_basis(self.source, x)
+        return self._forward(x)
 
     def inverse(self, y: ReducedPair) -> ReducedPair:
-        n = self.n
-        if len(y.q) >= n:
-            if y.q.steps[:n] != self.arc.steps:
-                raise InternalCheckError("ghost part does not start with the arc")
-            return ReducedPair(y.p, y.q.drop_first(n))
-        j = len(y.q)
-        if y.q.steps != self.arc.steps[:j]:
-            raise InternalCheckError("ghost part is not an arc prefix")
-        tail = Path(self.arc.vertices[j:], self.arc.steps[j:])
-        return ReducedPair(y.p.concat(tail), vertex_path(self.w))
+        _check_basis(self.target, y)
+        return self._inverse(y)
+
+    def _forward(self, x: ReducedPair) -> ReducedPair:
+        """forward for a basis element of the source that the caller knows:
+        the ghost at v of length n + len(q) is the arc, then x's ghost."""
+        return self.target._canonical(x.p, self.n + len(x.q))
+
+    def _inverse(self, y: ReducedPair) -> ReducedPair:
+        """inverse for a basis element of the target that the caller knows."""
+        m = len(y.q)
+        if m >= self.n:
+            return self.source._join(y.p, m - self.n)
+        return self.source.element((y.p.steps + self.arc.steps[m:], 0))
 
 
 def shift_iso(g: Graph, cycle: Cycle, v: str, w: str) -> ShiftIso:
@@ -849,12 +875,11 @@ def verify_shift_iso(
     intertwining with the module action."""
     g = iso.g
     report = ShiftIsoReport()
-    sys_w = NcBranchingSystem(g, iso.cycle, iso.w)
-    sys_v = NcBranchingSystem(g, iso.cycle, iso.v)
+    sys_w, sys_v = iso.source, iso.target
     window_w = list(sys_w.enumerate(t))
     images = {}
     for x in window_w:
-        y = iso.forward(x)
+        y = iso._forward(x)
         if not sys_v.in_window(sys_v.value(y), t):
             report.skipped += 1
             continue
@@ -866,23 +891,23 @@ def verify_shift_iso(
         if y.degree != x.degree - iso.n:
             report.degree_shift_ok = False
             report.failures.append(("degree", x, y))
-        if iso.inverse(y) != x:
+        if iso._inverse(y) != x:
             report.inverse_ok = False
             report.failures.append(("inverse", x, y))
     for y in sys_v.enumerate(t):
-        x = iso.inverse(y)
+        x = iso._inverse(y)
         if sys_w.in_window(sys_w.value(x), t):
-            if iso.forward(x) != y:
+            if iso._forward(x) != y:
                 report.inverse_ok = False
                 report.failures.append(("surjective", y, x))
 
     refs = sys_w.edge_refs(t)
     for x in window_w:
-        vx, vy = sys_w.value(x), sys_v.value(iso.forward(x))
+        vx, vy = sys_w.value(x), sys_v.value(iso._forward(x))
         for e in refs:
             if not sys_w.member_vertex(vx, g.tgt(e)):
                 continue
-            lhs = iso.forward(sys_w.element(sys_w.sigma(e, vx)))
+            lhs = iso._forward(sys_w.element(sys_w.sigma(e, vx)))
             rhs = sys_v.element(sys_v.sigma(e, vy))
             if lhs != rhs:
                 report.intertwines_edges = False
@@ -900,8 +925,8 @@ def verify_shift_iso(
         x = rng.choice(small_window)
         m = ModuleVector.unit(x, field)
         try:
-            lhs = _map_vector(iso, act(sys_w, a, m, t), sys_v, t)
-            rhs = act(sys_v, a, _map_vector(iso, m, sys_v, t), t)
+            lhs = _map_vector(iso, act(sys_w, a, m, t), t)
+            rhs = act(sys_v, a, _map_vector(iso, m, t), t)
         except WindowOverflow:
             report.skipped += 1
             continue
@@ -911,11 +936,11 @@ def verify_shift_iso(
     return report
 
 
-def _map_vector(iso: ShiftIso, m: ModuleVector, sys_v, t: Truncation) -> ModuleVector:
+def _map_vector(iso: ShiftIso, m: ModuleVector, t: Truncation) -> ModuleVector:
     terms, zero = {}, m.field.zero
     for x, k in m.terms.items():
-        y = iso.forward(x)
-        if not sys_v.in_window(sys_v.value(y), t):
+        y = iso._forward(x)
+        if not iso.target.in_window(iso.target.value(y), t):
             raise WindowOverflow(y)
         _add_term(terms, y, k, zero)
     return ModuleVector(m.field, terms)
@@ -936,11 +961,10 @@ class IdentityReport:
         return not self.failures
 
 
-def _windowed_pairs(g: Graph, d: NcModule, t: Truncation):
+def _windowed_pairs(sys: NcBranchingSystem, t: Truncation):
     """All (p, q) in Y within the window: r(p) = r(q), q inside the cycle."""
-    cycle_at_v = d.cycle.rotate_to(d.v)
-    qs = [cycle_at_v.walk_from(d.v, k) for k in range(t.max_path_length + 1)]
-    paths = _paths_by_end(g, t, [q.end for q in qs])
+    qs = [sys._ghost(k) for k in range(t.max_path_length + 1)]
+    paths = _paths_by_end(sys.graph, t, [q.end for q in qs])
     for q in qs:
         for p in paths[q.end]:
             yield p, q
@@ -952,8 +976,8 @@ def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> Identi
     sys = _nc_system(g, d)
     report = IdentityReport()
     cycle_vs = sys.cycle.vertex_set
-    for p, q in _windowed_pairs(g, NcModule(sys.cycle, sys.v), t):
-        x = _strip(p, q)
+    for p, q in _windowed_pairs(sys, t):
+        x = sys._canonical(p, len(q))
         if p.start in cycle_vs:
             ghost = alg.monomial(g, vertex_path(p.end), p, field=field)
             got = act(sys, ghost, ModuleVector.unit(x, field), t)
@@ -963,8 +987,8 @@ def ghost_action_check(g: Graph, d: NcModule, t: Truncation, field=QQ) -> Identi
                 report.failures.append(("ghost_action", p, q, got))
         for e in g.in_refs(p.start, t.bundle_sample):
             step = _edge_path(g, e)
-            lhs = _strip(step.concat(x.p), x.q)
-            rhs = _strip(step.concat(p), q)
+            lhs = sys._canonical(step.concat(x.p), len(x.q))
+            rhs = sys._canonical(step.concat(p), len(q))
             report.checked += 1
             if lhs != rhs:
                 report.failures.append(("reduction", e, p, q))

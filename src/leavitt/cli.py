@@ -291,7 +291,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_act(args) -> int:
     doc = _load_document(args.file)
-    field = field_from_spec(args.field)
+    field = args.field
     descriptor = _resolve_module(doc, args.module)
     system = chen.build_module(doc.graph, descriptor)
     t = Truncation(args.window[0], args.window[1])
@@ -316,7 +316,7 @@ def cmd_act(args) -> int:
 
 def cmd_ann(args) -> int:
     doc = _load_document(args.file)
-    field = field_from_spec(args.field)
+    field = args.field
     descriptor = _resolve_module(doc, args.module)
     ideal = chen.annihilator(doc.graph, descriptor)
     report = {"module": descriptor.label(), "annihilator": ideal.label()}
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--field",
         default="q",
-        help="coefficient field: q (rationals) or p:<prime>",
+        help="coefficient field: q (rationals) or p:<prime>; only act and ann use it",
     )
     parser.add_argument("--json", action="store_true", help="structured output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -433,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.field = field_from_spec(args.field)
         return args.func(args)
     except WindowOverflow as exc:
         print(f"window overflow: {exc}", file=sys.stderr)

@@ -422,7 +422,7 @@ def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) 
     the N_c module's window (one to three basis elements of one degree, with
     coefficients in {-3, -2, -1, 1, 2, 3}); returns the (vector, witness)
     pairs.  A failed recovery raises InternalCheckError or WindowOverflow."""
-    system = chen.build_module(g, d)
+    system = chen._nc_system(g, d)
     by_degree: dict = {}
     for x in system.enumerate(t):
         by_degree.setdefault(system.degree(system.value(x)), []).append(x)
@@ -434,7 +434,7 @@ def recovery_sweep(g: Graph, d, t: Truncation, rng: random.Random, rounds: int) 
         vec = ModuleVector(
             QQ, {x: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])) for x in support}
         )
-        out.append((vec, chen.recover_generator(g, d, vec, t)))
+        out.append((vec, chen._recover(system, vec, t)))
     return out
 
 
@@ -447,9 +447,9 @@ def module_suite(graphs: dict, rng: random.Random, t: Truncation) -> list:
         rep = check_axioms(sys, t)
         if not (rep.axioms_1_to_4 and rep.perfect and rep.saturated and rep.graded):
             failed["nc"] = f"{name} {d.label()}: {rep.violations[:2]}"
-        for p, q in chen._windowed_pairs(g, d, t):
-            x = chen.red(g, d.cycle, d.v, p, q)
-            again = chen.red(g, d.cycle, d.v, x.p, x.q)
+        for p, q in chen._windowed_pairs(sys, t):
+            x = sys.reduce(p, q)
+            again = sys.reduce(x.p, x.q)
             if again != x or x.degree != len(p) - len(q):
                 failed["red"] = f"{name} {d.label()}: ({p}, {q})"
         gar = chen.ghost_action_check(g, d, t)

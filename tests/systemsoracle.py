@@ -11,21 +11,18 @@ rational system used, are inlined as ``_first_edge``.  The irrational
 rule's locator, which only this oracle uses, is kept here as ``edge_at``
 and ``vertex_at``.  The old systems' values are their elements.
 
+The path-based reduction calculus that ``chen`` kept beside the systems
+is kept here too, so that the oracle shares no reduction code with the
+systems it checks: ``red`` with its cycle check, ``_strip``, and
+``_windowed_pairs``, which walks each ghost with ``Cycle.walk_from``.
+
 Built on the same descriptor, the new and the old system must give the same
 window in the same order and the same answer to every oracle question.
 """
 
 from leavitt import chen
 from leavitt.branching import BranchingSystem
-from leavitt.chen import (
-    NcModule,
-    ReducedPair,
-    TailElement,
-    _fits,
-    _paths_by_end,
-    _strip,
-    _windowed_pairs,
-)
+from leavitt.chen import ReducedPair, TailElement, _fits, _paths_by_end
 from leavitt.errors import InputError
 from leavitt.graphs import (
     RationalTailSpec,
@@ -34,6 +31,40 @@ from leavitt.graphs import (
     rational_tail,
     vertex_path,
 )
+
+
+def _check_inside_cycle(cycle_at_v, q):
+    if q.start != cycle_at_v.base:
+        raise InputError(f"q must start at the basepoint {cycle_at_v.base!r}")
+    if q.steps != cycle_at_v.walk_from(cycle_at_v.base, len(q)).steps:
+        raise InputError("q escapes the cycle")
+
+
+def red(g, cycle, v, p, q):
+    """The unique reduced representative of p.q*: strip matching final edges."""
+    cycle_at_v = cycle.rotate_to(v)
+    _check_inside_cycle(cycle_at_v, q)
+    if p.end != q.end:
+        raise InputError("p and q must share their range")
+    return _strip(p, q)
+
+
+def _strip(p, q):
+    """red for a pair the caller knows satisfies its requirements."""
+    while p.steps and q.steps and p.steps[-1] == q.steps[-1]:
+        p = p.drop_last()
+        q = q.drop_last()
+    return ReducedPair(p, q)
+
+
+def _windowed_pairs(g, d, t):
+    """All (p, q) in Y within the window: r(p) = r(q), q inside the cycle."""
+    cycle_at_v = d.cycle.rotate_to(d.v)
+    qs = [cycle_at_v.walk_from(d.v, k) for k in range(t.max_path_length + 1)]
+    paths = _paths_by_end(g, t, [q.end for q in qs])
+    for q in qs:
+        for p in paths[q.end]:
+            yield p, q
 
 
 def _locate(rule, i):
@@ -81,7 +112,7 @@ class NcBranchingSystem(BranchingSystem):
         self._cycle_edges = set(self.cycle.steps)
 
     def enumerate(self, t):
-        for p, q in _windowed_pairs(self.graph, NcModule(self.cycle, self.v), t):
+        for p, q in _windowed_pairs(self.graph, chen.NcModule(self.cycle, self.v), t):
             if p.steps and q.steps and p.steps[-1] == q.steps[-1]:
                 continue
             yield ReducedPair(p, q)

@@ -135,7 +135,7 @@ def test_criterion_4_nc_calculus():
         assert rep.axioms_1_to_4, rep.violations
         assert rep.perfect and rep.saturated and rep.graded
 
-        for p, q in chen._windowed_pairs(g, d, WINDOW):
+        for p, q in chen._windowed_pairs(sys, WINDOW):
             x = chen.red(g, c, v, p, q)
             assert chen.red(g, c, v, x.p, x.q) == x
             assert x.degree == len(p) - len(q)

@@ -65,6 +65,37 @@ class TestRed:
         with pytest.raises(InputError):
             chen.red(G3, C3, "v", vertex_path("u"), vertex_path("v"))
 
+    def test_reduce_matches_the_oracle(self):
+        # the system's reduce against the path-based red kept in the oracle,
+        # on every windowed pair and on every pair of short paths, errors
+        # included
+        t = Truncation(5, 2)
+        kinds = {"q must start at the basepoint", "q escapes the cycle", "p and q must share"}
+        errors = set()
+        for _, g, d in verification.catalog_nc_modules(CATALOG):
+            sys = chen.build_module(g, d)
+            pairs = list(systemsoracle._windowed_pairs(g, d, t))
+            assert list(chen._windowed_pairs(sys, t)) == pairs, d
+            for p, q in pairs:
+                assert sys.reduce(p, q) == systemsoracle.red(g, d.cycle, d.v, p, q), (p, q)
+            short = list(enumerate_paths(g, 3, 2))
+            for p, q in itertools.product(short, short):
+                got, want = (
+                    _reduction_outcome(lambda: sys.reduce(p, q)),
+                    _reduction_outcome(lambda: systemsoracle.red(g, d.cycle, d.v, p, q)),
+                )
+                assert got == want, (d, p, q)
+                if isinstance(want, str):
+                    errors.update(k for k in kinds if want.startswith(k))
+        assert errors == kinds
+
+
+def _reduction_outcome(call):
+    try:
+        return call()
+    except InputError as exc:
+        return str(exc)
+
 
 # The two position loops of IrrationalRule before they shared one locator:
 # the oracles of the rule's word, the systems' word cache and the locator
@@ -332,7 +363,8 @@ class TestWindowOrder:
                     for q in (q_at.walk_from(d.v, k) for k in range(t.max_path_length + 1))
                     for p in enumerate_paths(g, t.max_path_length, t.bundle_sample, end=q.end)
                 ]
-                assert list(chen._windowed_pairs(g, d, t)) == want, d
+                assert list(chen._windowed_pairs(sys, t)) == want, d
+                assert list(systemsoracle._windowed_pairs(g, d, t)) == want, d
         assert seen == set(kinds)
 
 
@@ -554,6 +586,43 @@ class TestDecomposeAndRecover:
         with pytest.raises(InputError, match="q escapes the cycle"):
             chen.recover_generator(G2, d, vec, T)
 
+    def test_unreduced_pairs_rejected(self):
+        # ee* names the basis vertex v, and is not a basis element itself
+        d = chen.nc_module(G1, C1, "v")
+        e = make_path(G1, "v", ["e"])
+        ee = chen.ReducedPair(e, e)
+        vv = chen.ReducedPair(vertex_path("v"), vertex_path("v"))
+        for vec in (ModuleVector.unit(ee), ModuleVector.unit(ee) - ModuleVector.unit(vv)):
+            with pytest.raises(InputError, match=r"ee\* is not a basis element .*reduces to v"):
+                chen.homogeneous_decompose(G1, d, vec)
+            with pytest.raises(InputError, match=r"ee\* is not a basis element .*reduces to v"):
+                chen.recover_generator(G1, d, vec, T)
+
+    def test_recover_walks_no_cycle_per_element(self, monkeypatch):
+        # two edges x, y enter the loop c at v, so x, y and c share degree 1
+        g = Graph(["a", "b", "v"], edges={"x": ("a", "v"), "y": ("b", "v"), "c": ("v", "v")})
+        d, sys = self._sys(g, enumerate_cycles(g)[0])
+        three = [x for x in sys.enumerate(T) if sys.degree(sys.value(x)) == 1][:3]
+        assert sorted(map(str, three)) == ["c", "x", "y"]
+        calls, counts = _count_cycle_walks(monkeypatch), []
+        for support in (three[:1], three):
+            calls.clear()
+            chen.recover_generator(g, d, ModuleVector(terms=dict.fromkeys(support, 1)), T)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0].get("walk_from", 0) == 0
+
+    def test_recovery_sweep_validates_once(self, monkeypatch):
+        d = chen.nc_module(G3, C3, "v")
+        calls = []
+        validate = chen.validate_module
+        monkeypatch.setattr(
+            chen, "validate_module", lambda g, d: calls.append(d) or validate(g, d)
+        )
+        out = verification.recovery_sweep(G3, d, T, random.Random(3), 40)
+        assert len(out) == 40
+        assert calls == [d]
+
     def test_recover_validates_once(self, monkeypatch):
         d, sys = self._sys(G3, C3)
         x = {str(y): y for y in sys.enumerate(T)}["ec"]
@@ -574,12 +643,16 @@ class TestTrustedInternals:
         systems += [chen.NaivePairSystem(G1, "v"), chen.NaivePairSystem(G3, "v")]
         calls = []
         for mod in (graphs, alg, chen):
-            for name in ("make_path", "make_cycle", "check_cycle", "_check_inside_cycle"):
+            for name in ("make_path", "make_cycle", "check_cycle"):
                 if hasattr(mod, name):
                     check = getattr(mod, name)
                     monkeypatch.setattr(
                         mod, name, lambda *a, _n=name, _f=check: calls.append(_n) or _f(*a)
                     )
+        reduce = chen.NcBranchingSystem.reduce
+        monkeypatch.setattr(
+            chen.NcBranchingSystem, "reduce", lambda *a: calls.append("reduce") or reduce(*a)
+        )
         for sys in systems:
             check_axioms(sys, Truncation(5, 2))
         assert calls == []
@@ -632,6 +705,40 @@ class TestShiftIso:
         iso = chen.shift_iso(G6, C6, "w", "v")
         rep = chen.verify_shift_iso(iso, T, rng=random.Random(0), element_samples=30)
         assert rep.passed
+
+    def test_rejects_pairs_that_are_not_basis_elements(self):
+        iso = chen.shift_iso(G6, C6, "v", "w")
+        v, f, g = vertex_path("v"), make_path(G6, "v", ["f"]), make_path(G6, "w", ["g"])
+        cases = [
+            (iso.inverse, chen.ReducedPair(v, g), "q must start at the basepoint 'v'"),
+            (iso.inverse, chen.ReducedPair(g, f.concat(g)), "it reduces to f\\*"),
+            (iso.forward, chen.ReducedPair(g, g), "it reduces to w"),
+            (iso.forward, chen.ReducedPair(v, f), "q must start at the basepoint 'w'"),
+        ]
+        for call, x, reason in cases:
+            with pytest.raises(InputError, match=f"is not a basis element of .*: {reason}"):
+                call(x)
+
+    def test_verify_walks_no_cycle_per_element(self, monkeypatch):
+        calls, counts = _count_cycle_walks(monkeypatch), []
+        for t in (Truncation(3, 1), Truncation(7, 3)):
+            iso = chen.shift_iso(G6, C6, "v", "w")
+            calls.clear()
+            assert chen.verify_shift_iso(iso, t).passed
+            counts.append(dict(calls))
+        assert counts[0].get("walk_from", 0) == counts[1].get("walk_from", 0) == 0
+        assert counts[0].get("rotate_to", 0) == counts[1].get("rotate_to", 0)
+
+
+def _count_cycle_walks(monkeypatch):
+    """A Counter of the Cycle.rotate_to and Cycle.walk_from calls from now on."""
+    calls = Counter()
+    for name in ("rotate_to", "walk_from"):
+        method = getattr(graphs.Cycle, name)
+        monkeypatch.setattr(
+            graphs.Cycle, name, lambda *a, _n=name, _f=method: calls.update([_n]) or _f(*a)
+        )
+    return calls
 
 
 class TestNonSimplicityRegression:

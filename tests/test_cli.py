@@ -925,6 +925,9 @@ MALFORMED = {
         ["--field", "p:" + "1" * 400, "act", "FILE", "--module", "sink:w",
          "--element", "u", "--basis", "w"],
     ),
+    "field p:4 on pairs": (G3_TEXT, ["--field", "p:4", "pairs", "FILE"]),
+    "field zz on classify --all": (G3_TEXT, ["--field", "zz", "classify", "FILE", "--all"]),
+    "field p:4 on verify --catalog": (G3_TEXT, ["--field", "p:4", "verify", "--catalog"]),
     "element nested 3000 parentheses deep": (
         G3_TEXT,
         ["act", "FILE", "--module", "sink:w", "--element", "(" * 3000 + "u" + ")" * 3000,
